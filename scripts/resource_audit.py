@@ -12,7 +12,6 @@ Usage::
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -34,14 +33,11 @@ def audit(n, k, epsilon, seed):
         result = ladder.finish()
         cost = clustering_cost(planted.points, result.centers)
         per_instance_cap = (2 * k + 2) if mode == "general" else (3 * k + 2)
-        grid_bound = (
-            math.ceil(math.log(ladder.guesses[-1] / ladder.guesses[0]) / math.log(1 + epsilon)) + 1
-        )
         print(f"== {mode} ==")
         print(f"  ratio                 {cost / planted.planted_r:.3f}")
         print(f"  per-instance peak     {ladder.per_instance_stored_peak:5d}  (cap {per_instance_cap})")
         print(f"  total stored peak     {ladder.total_stored_peak:5d}")
-        print(f"  instances spawned     {ladder.spawned_count:5d}  (grid bound {grid_bound})")
+        print(f"  instances spawned     {ladder.spawned_count:5d}  (grid bound {ladder.grid_bound})")
         print(f"  instances live/pruned {ladder.live_count:5d} / {len(ladder.pruned)}")
         print(f"  distance evaluations  {ladder.total_distance_evals}")
         print(f"  worst update excess   {ladder.worst_update_excess}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -139,11 +140,14 @@ class PointReader:
                 if i == self._group_idx:
                     continue
                 try:
-                    coords.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvFormatError(
                         self.line_no, f"non-numeric value {cell.strip()!r} in column {i}"
                     ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(self.line_no, f"non-finite value {cell.strip()!r} in column {i}")
+                coords.append(value)
             yield Point(next_id, tuple(coords), group)
             next_id += 1
 
@@ -416,7 +420,8 @@ def run(config: RunConfig) -> dict | list[dict]:
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    # strict JSON: a NaN or infinity in a report is an error, never output
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out is None:
         sys.stdout.write(text + "\n")
     else:
@@ -503,19 +508,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     # gen writes the dataset CSV to --out, so its JSON report goes to stdout
-    report_target = None if config.mode == "gen" else config.out
+    report_target = None if args.mode == "gen" else args.out
     try:
-        payload = run(config)
-    except (ValueError, InfeasibleRun, RuntimeError, OSError) as exc:
+        _emit(run(_config_from_args(args)), report_target)
+    except Exception as exc:  # every failure ends as a structured report, never a traceback
         error = {
             "schema": SCHEMA_ERROR,
             "error": {"kind": type(exc).__name__, "message": str(exc)},
         }
-        _emit(error, report_target)
+        try:
+            _emit(error, report_target)
+        except OSError:  # the report path itself is unwritable
+            _emit(error, None)
         return 1
-    _emit(payload, report_target)
     return 0
 
 

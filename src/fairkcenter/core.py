@@ -19,9 +19,11 @@ class Point:
     group: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(float, self.coords)))
         if not self.coords:
             raise ValueError("point needs at least one coordinate")
+        if not all(map(math.isfinite, self.coords)):
+            raise ValueError(f"point {self.id} has a non-finite coordinate: {self.coords}")
         if self.group < 1:
             raise ValueError(f"group labels are 1-based, got {self.group}")
 

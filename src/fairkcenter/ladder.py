@@ -54,8 +54,10 @@ class Ladder:
         epsilon: float = 0.1,
         mode: str = "general",
     ) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if spec.m != 2:
+            raise ValueError("the ladder handles exactly two groups")
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         if mode not in ("general", "semi"):
             raise ValueError(f"unknown mode {mode!r}")
         self.spec = spec

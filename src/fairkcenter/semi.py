@@ -14,6 +14,7 @@ the optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness
@@ -37,8 +38,8 @@ class SemiInstance:
     def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN) -> None:
         if spec.m != 2:
             raise ValueError("this solver handles exactly two groups")
-        if radius_guess < 0:
-            raise ValueError("radius guess must be nonnegative")
+        if not 0.0 <= radius_guess < math.inf:
+            raise ValueError(f"radius guess must be finite and nonnegative, got {radius_guess}")
         self.radius_guess = float(radius_guess)
         self.threshold = 2.0 * self.radius_guess
         self.spec = spec

@@ -42,6 +42,12 @@ def test_reader_non_numeric_feature():
         list(reader_for("x,y,group\na,0,1\n"))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_reader_non_finite_feature_names_line_and_column(cell):
+    with pytest.raises(CsvFormatError, match=f"line 3: non-finite value '{cell}' in column 1"):
+        list(reader_for(f"x,y,group\n0,0,1\n0,{cell},2\n"))
+
+
 def test_reader_ragged_row():
     with pytest.raises(CsvFormatError, match="line 3"):
         list(reader_for("x,y,group\n0,0,1\n0,1\n"))
@@ -219,3 +225,53 @@ def test_stdin_input_skips_the_cost_replay(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert "cost" not in report
     assert [c["coords"][0] for c in report["centers"]] == [0.0, 100.5]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("mode", [["solve"], ["semi"], ["oracle"], ["known", "--radius", "1.0"]])
+def test_non_finite_cell_is_a_structured_error(tmp_path, capsys, mode, cell):
+    path = write(tmp_path, "bad.csv", f"x,y,group\n0,0,1\n1,1,1\n{cell},2,2\n3,3,2\n")
+    rc = main([mode[0], "--input", path, "--caps", "1,1"] + mode[1:])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "CsvFormatError"
+    assert payload["error"]["message"] == f"line 4: non-finite value '{cell}' in column 0"
+
+
+def test_malformed_caps_are_a_structured_error(tmp_path, capsys):
+    path = write(tmp_path, "tiny.csv", "x,group\n0,1\n1,2\n")
+    rc = main(["solve", "--input", path, "--caps", "1,x"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "ValueError"
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_non_finite_radius_is_a_structured_error(tmp_path, capsys, radius):
+    path = write(tmp_path, "both_over.csv", BOTH_OVER_CSV)
+    rc = main(["known", "--input", path, "--caps", "1,1", "--radius", radius])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "ValueError"
+    assert "finite" in payload["error"]["message"]
+
+
+def test_non_finite_report_value_is_a_structured_error(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "both_over.csv", BOTH_OVER_CSV)
+    monkeypatch.setattr("fairkcenter.cli.run", lambda config: {"r_hat": float("nan")})
+    rc = main(["known", "--input", path, "--caps", "1,1", "--radius", "0.5"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert "JSON" in payload["error"]["message"]
+
+
+def test_unwritable_report_path_reports_on_stdout(tmp_path, capsys):
+    path = write(tmp_path, "both_over.csv", BOTH_OVER_CSV)
+    out_path = str(tmp_path / "missing-dir" / "report.json")
+    rc = main(["known", "--input", path, "--caps", "1,1", "--radius", "0.5", "--out", out_path])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["kind"] == "FileNotFoundError"

@@ -25,6 +25,12 @@ def test_distance_identity():
     assert distance(pt(0, 0.0), pt(1, 0.0)) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="point 3 has a non-finite coordinate"):
+        pt(3, (0.0, bad))
+
+
 def test_distance_one_dimensional():
     assert distance(pt(0, 0.0), pt(1, 3.0)) == 3.0
 

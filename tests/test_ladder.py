@@ -73,6 +73,18 @@ def test_all_coincident_stream_collapses_to_one_center():
     assert len(result.centers) == 1
 
 
+def test_ladder_rejects_other_than_two_groups_up_front():
+    for caps in ((1, 1, 1), (2,)):
+        with pytest.raises(ValueError, match="exactly two groups"):
+            Ladder(FairnessSpec(caps))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_ladder_rejects_a_non_positive_or_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        Ladder(FairnessSpec((1, 1)), epsilon=epsilon)
+
+
 def test_empty_stream_is_an_error():
     ladder = Ladder(FairnessSpec((1, 1)))
     with pytest.raises(ValueError, match="empty"):
