@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .core import EUCLIDEAN, DistanceMetric, Point
+from .core import EUCLIDEAN, Coords, DistanceMetric, Point
 
 
 class OfferStatus(Enum):
@@ -56,41 +54,33 @@ class IndependentSet:
         self.members: list[Point] = []
         self.overflowed = False
         self.distance_evals = 0
-        self._coords: np.ndarray | None = None  # euclidean fast path only
+        self._coords: list[Coords] = []  # members' coords, same order
 
     def __len__(self) -> int:
         return len(self.members)
 
     def _scan(self, p: Point) -> tuple[float, int]:
         """Nearest stored point: (distance, index), (inf, -1) when empty.
-        Costs exactly one distance evaluation per stored point; ties keep the
-        earliest-stored point."""
-        n = len(self.members)
-        self.distance_evals += n
-        if n == 0:
-            return math.inf, -1
-        # the vectorized path only pays off past a handful of members
-        if self.metric.kind == "euclidean" and n > 8:
-            arr = self._coords[:n]
-            x = np.asarray(p.coords, dtype=np.float64)
-            if arr.shape[1] != x.shape[0]:
-                raise ValueError(
-                    f"dimension mismatch: point {p.id} has {x.shape[0]} coords, stored points have {arr.shape[1]}"
-                )
-            if arr.shape[1] == 1:
-                # |a-b| keeps exact tie semantics with the scalar path
-                dists = np.abs(arr[:, 0] - x[0])
-            else:
-                diff = arr - x
-                dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            idx = int(np.argmin(dists))
-            return float(dists[idx]), idx
+
+        One exact kernel for every set size and metric: ``metric.fn`` on the
+        stored coordinate tuples in storage order, so euclidean distances are
+        ``math.dist``'s (correctly scaled, no underflow) at any size. Costs
+        exactly one distance evaluation per stored point. The first strict
+        minimum wins: ties keep the earliest-stored point, and a NaN or inf
+        distance never becomes the nearest.
+        """
+        coords = self._coords
+        self.distance_evals += len(coords)
+        pc = p.coords
+        if coords and len(pc) != len(coords[0]):
+            raise ValueError(
+                f"dimension mismatch: point {p.id} has {len(pc)} coords, stored points have {len(coords[0])}"
+            )
         best = math.inf
         best_idx = -1
         fn = self.metric.fn
-        pc = p.coords
-        for idx, q in enumerate(self.members):
-            d = fn(pc, q.coords)
+        for idx, q in enumerate(coords):
+            d = fn(pc, q)
             if d < best:
                 best, best_idx = d, idx
         return best, best_idx
@@ -111,8 +101,9 @@ class IndependentSet:
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
         d, idx = self._scan(p)
-        if d <= self.threshold:
-            # a point at exactly the threshold stays covered
+        if idx >= 0 and d <= self.threshold:
+            # a point at exactly the threshold stays covered; only a real
+            # nearest point can cover, even under an infinite threshold
             return OfferResult(OfferStatus.COVERED, self.members[idx], d)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
@@ -121,13 +112,5 @@ class IndependentSet:
         return OfferResult(OfferStatus.ADDED, None, d)
 
     def _append(self, p: Point) -> None:
-        if self.metric.kind == "euclidean":
-            if self._coords is None:
-                size = self.cap if self.cap is not None else 16
-                self._coords = np.empty((max(size, 1), p.dim), dtype=np.float64)
-            elif len(self.members) == self._coords.shape[0]:
-                grown = np.empty((2 * self._coords.shape[0], self._coords.shape[1]), dtype=np.float64)
-                grown[: len(self.members)] = self._coords
-                self._coords = grown
-            self._coords[len(self.members)] = p.coords
+        self._coords.append(p.coords)
         self.members.append(p)

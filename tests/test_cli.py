@@ -275,3 +275,15 @@ def test_unwritable_report_path_reports_on_stdout(tmp_path, capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["kind"] == "FileNotFoundError"
+
+
+def test_overflowing_distances_still_get_an_answer(tmp_path, capsys):
+    # math.dist overflows to inf between the two huge rows, so the top guess's
+    # covering threshold is inf too; an empty set must not count as covering
+    path = write(tmp_path, "huge.csv", "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n")
+    rc = main(["solve", "--input", path, "--caps", "1,1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON constant {name}"))
+    assert sorted(c["id"] for c in report["centers"]) == [2, 3]
+    assert report["cost"] == 1e308

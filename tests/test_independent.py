@@ -147,3 +147,77 @@ def test_custom_metric_matches_euclidean_decisions(rng):
             assert fast.offer(p).status == slow.offer(p).status
         assert [p.id for p in fast.members] == [p.id for p in slow.members]
         assert fast.distance_evals == slow.distance_evals
+
+
+# ----------------------------------------------------------------------
+# the scan kernel: exact at every set size and coordinate scale
+# ----------------------------------------------------------------------
+def reference_offers(points, threshold):
+    """Offer decisions of a plain ``math.dist`` loop with the first strict
+    minimum: (status, covered_by id, min_dist) per offered point."""
+    stored = []
+    decisions = []
+    for p in points:
+        best, best_q = math.inf, None
+        for q in stored:
+            d = math.dist(p.coords, q.coords)
+            if d < best:
+                best, best_q = d, q
+        if best_q is not None and best <= threshold:
+            decisions.append((OfferStatus.COVERED, best_q.id, best))
+        else:
+            stored.append(p)
+            decisions.append((OfferStatus.ADDED, None, best))
+    return decisions
+
+
+def test_tiny_scale_points_are_all_stored():
+    # squared differences of 1e-340 underflow to zero; the distances do not
+    s = IndependentSet(0.5e-170)
+    for i in range(20):
+        assert s.offer(pt(i, (i * 1e-170, 0.0))).status is OfferStatus.ADDED
+    assert len(s) == 20
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_threshold_ties_decide_as_math_dist_at_every_set_size(dim):
+    # each probe sits one rounded offset of length ~threshold from an anchor,
+    # so its distance lands on the threshold or one ulp either side; the
+    # decisions must match math.dist whether the set holds 1 or 64 anchors
+    gen = np.random.default_rng(11 + dim)
+    offset = gen.uniform(0.3, 0.7, size=dim)
+    threshold = math.dist([0.0] * dim, offset)
+    anchors = [10.0 * n + gen.uniform(0.0, 1.0, size=dim) for n in range(64)]
+    offered = []
+    for n, anchor in enumerate(anchors):
+        offered.append(pt(len(offered), tuple(anchor)))
+        for j in gen.integers(0, n + 1, size=6):
+            signs = gen.choice([-1.0, 1.0], size=dim)
+            offered.append(pt(len(offered), tuple(anchors[j] + signs * offset)))
+    s = IndependentSet(threshold)
+    got = []
+    for p in offered:
+        res = s.offer(p)
+        got.append((res.status, res.covered_by.id if res.covered_by else None, res.min_dist))
+    assert len(s) >= 64
+    assert got == reference_offers(offered, threshold)
+
+
+@pytest.mark.parametrize("size", [1, 20])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        DistanceMetric.euclidean(),
+        DistanceMetric.from_callable(lambda a, b: sum(abs(x - y) for x, y in zip(a, b)), name="l1"),
+    ],
+    ids=["euclidean", "zip-l1"],
+)
+def test_dimension_mismatch_names_the_point(size, metric):
+    s = IndependentSet(1.0, metric=metric)
+    for i in range(size):
+        s.offer(pt(i, (10.0 * i, 0.0)))
+    with pytest.raises(ValueError, match="dimension mismatch: point 99 has 3 coords, stored points have 2"):
+        s.offer(pt(99, (0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="dimension mismatch: point 98 has 1 coords"):
+        s.nearest(pt(98, 0.0))
+    assert len(s) == size

@@ -5,6 +5,7 @@ import pytest
 from fairkcenter import (
     FairnessSpec,
     Ladder,
+    Point,
     StreamInstance,
     brute_force_opt,
     check_fairness,
@@ -242,3 +243,30 @@ def test_feasibility_is_empirically_monotone_in_the_guess(rng):
                     f"feasibility not monotone in the guess on trial {trial}: {feasible_flags}",
                     stacklevel=1,
                 )
+
+
+# ----------------------------------------------------------------------
+# coordinate scale
+# ----------------------------------------------------------------------
+def _scaled(points, factor):
+    return [Point(p.id, tuple(c * factor for c in p.coords), p.group) for p in points]
+
+
+@pytest.fixture(scope="module")
+def scale_instance():
+    spec = FairnessSpec((12, 8))
+    points = list(generate_planted(spec, 400, 1.0, seed=7).points)
+    streams = {"general": points, "semi": sorted(points, key=lambda p: p.group)}
+    bases = {mode: run_ladder(stream, spec, mode=mode)[1] for mode, stream in streams.items()}
+    return spec, streams, bases
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+@pytest.mark.parametrize("factor", [1e160, 1e-165, 2.0**500, 2.0**-520])
+def test_center_ids_do_not_depend_on_coordinate_scale(scale_instance, mode, factor):
+    spec, streams, bases = scale_instance
+    _, scaled = run_ladder(_scaled(streams[mode], factor), spec, mode=mode)
+    assert scaled.centers.ids() == bases[mode].centers.ids()
+    if math.frexp(factor)[0] == 0.5:
+        # a power of two scales every distance, and so every guess, exactly
+        assert scaled.best_guess == bases[mode].best_guess * factor
