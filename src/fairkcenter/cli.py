@@ -1,5 +1,5 @@
-"""CSV ingestion, run configuration, JSON reporting, and the command-line
-entry point tying the solvers, the oracle, and the generator together.
+"""CSV ingestion, JSON reporting, and the command-line entry point tying
+the solvers, the oracle, and the generator together.
 
 Subcommands: solve (radius ladder, any stream order), semi (radius ladder,
 group-sorted stream), known (single fixed radius guess), oracle (exhaustive
@@ -15,14 +15,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterator, TextIO
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness, clustering_cost
-from .ladder import Ladder
+from .ladder import Ladder, make_instance
 from .oracle import SizeGuardError, brute_force_opt, generate_planted, gonzalez
-from .semi import SemiInstance
-from .solver import StreamInstance
 
 SCHEMA_REPORT = "fairkcenter-report/1"
 SCHEMA_BENCH = "fairkcenter-bench/1"
@@ -37,35 +34,8 @@ class CsvFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    input: str | None = None  # path or '-' for standard input
-    metric: str = "euclidean"
-    group_col: str = "group"
-    caps: tuple[int, ...] = ()
-    k: int | None = None
-    radius: float | None = None
-    epsilon: float = 0.1
-    seed: int = 0
-    out: str | None = None
-    no_replay: bool = False
-    semi_known: bool = False  # known mode: use the group-sorted solver
-    # generator-only knobs
-    n: int | None = None
-    dim: int = 2
-    separation: float = 4.0
-
-    def spec(self) -> FairnessSpec:
-        spec = FairnessSpec(self.caps)
-        if self.k is not None and self.k != spec.k:
-            raise ValueError(f"--k {self.k} does not match the cap sum {spec.k}")
-        return spec
-
-    def metric_obj(self) -> DistanceMetric:
-        if self.metric != "euclidean":
-            raise ValueError(f"unknown metric {self.metric!r}")
-        return EUCLIDEAN
+class InfeasibleRun(RuntimeError):
+    """The solver produced an infeasibility certificate instead of centers."""
 
 
 class PointReader:
@@ -152,159 +122,136 @@ class PointReader:
             next_id += 1
 
 
-def _open_input(config: RunConfig) -> TextIO:
-    if config.input is None:
-        raise ValueError("this mode requires --input")
-    if config.input == "-":
+def _spec_and_metric(args: argparse.Namespace) -> tuple[FairnessSpec, DistanceMetric]:
+    """The caps, checked against ``--k``, and the distance metric."""
+    spec = FairnessSpec(tuple(int(c) for c in str(args.caps).split(",") if c.strip() != ""))
+    if args.k is not None and args.k != spec.k:
+        raise ValueError(f"--k {args.k} does not match the cap sum {spec.k}")
+    if args.metric != "euclidean":
+        raise ValueError(f"unknown metric {args.metric!r}")
+    return spec, EUCLIDEAN
+
+
+def _open_input(args: argparse.Namespace) -> TextIO:
+    if args.input == "-":
         return sys.stdin
-    return open(config.input, "r", encoding="utf-8", newline="")
+    return open(args.input, "r", encoding="utf-8", newline="")
 
 
-def _replayable(config: RunConfig) -> bool:
-    return config.input not in (None, "-") and not config.no_replay
+def _read_all(args: argparse.Namespace, spec: FairnessSpec) -> tuple[list[Point], list[str]]:
+    with _open_input(args) as handle:
+        reader = PointReader(handle, args.group_col, max_groups=spec.m)
+        return list(reader), list(reader.group_labels)
 
 
-def _centers_payload(centers: CenterSet) -> list[dict]:
-    return [{"id": p.id, "coords": list(p.coords), "group": p.group} for p in centers]
-
-
-def _replay_cost(config: RunConfig, centers: CenterSet, metric: DistanceMetric) -> float:
-    with _open_input(config) as handle:
-        reader = PointReader(handle, config.group_col, max_groups=len(config.caps))
-        return clustering_cost(reader, centers, metric)
-
-
-def _run_ladder(config: RunConfig, mode: str) -> dict:
-    spec = config.spec()
-    metric = config.metric_obj()
-    ladder = Ladder(spec, metric, epsilon=config.epsilon, mode=mode)
-    started = time.perf_counter()
-    with _open_input(config) as handle:
-        reader = PointReader(
-            handle, config.group_col, max_groups=spec.m, require_group_sorted=(mode == "semi")
-        )
-        for point in reader:
-            ladder.observe(point)
-        labels = list(reader.group_labels)
-    result = ladder.finish()
-    elapsed = time.perf_counter() - started
-    counts = result.centers.per_group_counts(spec.m)
-    report = {
-        "schema": SCHEMA_REPORT,
-        "mode": mode,
-        "r_hat": result.best_guess,
-        "epsilon": config.epsilon,
-        "k": spec.k,
-        "caps": list(spec.caps),
-        "group_labels": labels,
-        "centers": _centers_payload(result.centers),
-        "per_group_counts": list(counts),
-        "points_processed": ladder.points_seen,
-        "stored_points_peak": ladder.total_stored_peak,
-        "distance_evaluations": ladder.total_distance_evals,
-        "instances": {
-            "spawned": ladder.spawned_count,
-            "live": ladder.live_count,
-            "pruned": len(ladder.pruned),
-        },
-        "seed": config.seed,
-    }
-    if _replayable(config):
-        report["cost"] = _replay_cost(config, result.centers, metric)
-    report["wall_time_s"] = elapsed
-    return report
-
-
-def _run_known(config: RunConfig) -> dict:
-    if config.radius is None:
-        raise ValueError("known mode requires --radius")
-    spec = config.spec()
-    metric = config.metric_obj()
-    mode = "semi" if config.semi_known else "general"
-    if mode == "semi":
-        inst: StreamInstance | SemiInstance = SemiInstance(config.radius, spec, metric)
-    else:
-        inst = StreamInstance(config.radius, spec, metric)
-    started = time.perf_counter()
-    with _open_input(config) as handle:
-        reader = PointReader(
-            handle, config.group_col, max_groups=spec.m, require_group_sorted=(mode == "semi")
-        )
-        for point in reader:
-            inst.process(point)
-            if inst.overflowed:
-                break
-        labels = list(reader.group_labels)
-    if inst.points_processed == 0:
-        raise ValueError("empty input: no data rows")
-    outcome = inst.finalize()
-    elapsed = time.perf_counter() - started
-    if not outcome.feasible:
-        raise InfeasibleRun(outcome.reason.value)
-    counts = outcome.centers.per_group_counts(spec.m)
-    report = {
-        "schema": SCHEMA_REPORT,
-        "mode": f"known-{mode}",
-        "r_hat": config.radius,
-        "k": spec.k,
-        "caps": list(spec.caps),
-        "group_labels": labels,
-        "centers": _centers_payload(outcome.centers),
-        "per_group_counts": list(counts),
-        "points_processed": inst.points_processed,
-        "stored_points_peak": inst.stored_count,
-        "distance_evaluations": inst.distance_evals,
-        "seed": config.seed,
-    }
-    if _replayable(config):
-        report["cost"] = _replay_cost(config, outcome.centers, metric)
-    report["wall_time_s"] = elapsed
-    return report
-
-
-def _run_oracle(config: RunConfig) -> dict:
-    spec = config.spec()
-    metric = config.metric_obj()
-    started = time.perf_counter()
-    with _open_input(config) as handle:
-        reader = PointReader(handle, config.group_col, max_groups=spec.m)
-        points = list(reader)
-        labels = list(reader.group_labels)
-    result = brute_force_opt(points, spec, metric)
-    elapsed = time.perf_counter() - started
+def _report(
+    args: argparse.Namespace, spec: FairnessSpec, labels: list[str],
+    head: dict, centers: CenterSet, counters: dict,
+) -> dict:
+    """The fields every solving subcommand reports, in this order: schema,
+    ``head`` (mode and radius), caps, group labels, centers, ``counters`` and
+    seed. Callers append the cost and the wall time."""
     return {
         "schema": SCHEMA_REPORT,
-        "mode": "oracle",
-        "r_opt": result.r_opt,
+        **head,
         "k": spec.k,
         "caps": list(spec.caps),
         "group_labels": labels,
-        "centers": _centers_payload(result.centers),
-        "per_group_counts": list(result.centers.per_group_counts(spec.m)),
-        "subsets_evaluated": result.evaluated,
-        "seed": config.seed,
-        "wall_time_s": elapsed,
+        "centers": [{"id": p.id, "coords": list(p.coords), "group": p.group} for p in centers],
+        "per_group_counts": list(centers.per_group_counts(spec.m)),
+        **counters,
+        "seed": args.seed,
     }
 
 
-def _run_gen(config: RunConfig) -> dict:
-    if config.n is None:
-        raise ValueError("gen mode requires --n")
-    if config.radius is None:
-        raise ValueError("gen mode requires --radius (the planted optimal radius)")
-    if config.out is None:
+def _run_stream(args: argparse.Namespace) -> dict:
+    """solve, semi and known: one pass over the input into a radius ladder,
+    or into one solver instance at the fixed ``--radius``."""
+    spec, metric = _spec_and_metric(args)
+    known = args.mode == "known"
+    if known:
+        inst = make_instance(args.solver, args.radius, spec, metric)
+    else:
+        ladder = Ladder(spec, metric, epsilon=args.epsilon, mode=args.solver)
+    started = time.perf_counter()
+    with _open_input(args) as handle:
+        reader = PointReader(
+            handle, args.group_col, max_groups=spec.m, require_group_sorted=(args.solver == "semi")
+        )
+        if known:
+            for point in reader:
+                inst.process(point)
+                if inst.overflowed:
+                    break
+        else:
+            for point in reader:
+                ladder.observe(point)
+        labels = list(reader.group_labels)
+    if known:
+        if inst.points_processed == 0:
+            raise ValueError("empty input: no data rows")
+        outcome = inst.finalize()
+        elapsed = time.perf_counter() - started
+        if not outcome.feasible:
+            raise InfeasibleRun(outcome.reason.value)
+        centers = outcome.centers
+        head = {"mode": f"known-{args.solver}", "r_hat": args.radius}
+        counters = {
+            "points_processed": inst.points_processed,
+            "stored_points_peak": inst.stored_count,
+            "distance_evaluations": inst.distance_evals,
+        }
+    else:
+        result = ladder.finish()
+        elapsed = time.perf_counter() - started
+        centers = result.centers
+        head = {"mode": args.solver, "r_hat": result.best_guess, "epsilon": args.epsilon}
+        counters = {
+            "points_processed": ladder.points_seen,
+            "stored_points_peak": ladder.total_stored_peak,
+            "distance_evaluations": ladder.total_distance_evals,
+            "instances": {
+                "spawned": ladder.spawned_count,
+                "live": ladder.live_count,
+                "pruned": len(ladder.pruned),
+            },
+        }
+    report = _report(args, spec, labels, head, centers, counters)
+    # the cost takes a second pass, which standard input cannot give
+    if args.input != "-" and not args.no_replay:
+        with _open_input(args) as handle:
+            reader = PointReader(handle, args.group_col, max_groups=spec.m)
+            report["cost"] = clustering_cost(reader, centers, metric)
+    report["wall_time_s"] = elapsed
+    return report
+
+
+def _run_oracle(args: argparse.Namespace) -> dict:
+    spec, metric = _spec_and_metric(args)
+    started = time.perf_counter()
+    points, labels = _read_all(args, spec)
+    result = brute_force_opt(points, spec, metric)
+    elapsed = time.perf_counter() - started
+    head = {"mode": "oracle", "r_opt": result.r_opt}
+    report = _report(args, spec, labels, head, result.centers, {"subsets_evaluated": result.evaluated})
+    report["wall_time_s"] = elapsed
+    return report
+
+
+def _run_gen(args: argparse.Namespace) -> dict:
+    if args.out is None:
         raise ValueError("gen mode requires --out (the CSV path to write)")
-    spec = config.spec()
+    spec, _ = _spec_and_metric(args)
     planted = generate_planted(
         spec,
-        config.n,
-        config.radius,
-        separation=config.separation,
-        dim=config.dim,
-        seed=config.seed,
+        args.n,
+        args.radius,
+        separation=args.separation,
+        dim=args.dim,
+        seed=args.seed,
     )
-    names = ["x", "y", "z"][: config.dim] if config.dim <= 3 else [f"f{i}" for i in range(config.dim)]
-    with open(config.out, "w", encoding="utf-8", newline="") as handle:
+    names = ["x", "y", "z"][: args.dim] if args.dim <= 3 else [f"f{i}" for i in range(args.dim)]
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names + ["group"])
         for p in planted.points:
@@ -313,27 +260,23 @@ def _run_gen(config: RunConfig) -> dict:
         "schema": SCHEMA_REPORT,
         "mode": "gen",
         "planted_r": planted.planted_r,
-        "n": config.n,
-        "dim": config.dim,
+        "n": args.n,
+        "dim": args.dim,
         "k": spec.k,
         "caps": list(spec.caps),
-        "separation": config.separation,
+        "separation": args.separation,
         "planted_center_ids": list(planted.planted_centers.ids()),
-        "seed": config.seed,
-        "csv": config.out,
+        "seed": args.seed,
+        "csv": args.out,
     }
 
 
-def _run_bench(config: RunConfig) -> list[dict]:
+def _run_bench(args: argparse.Namespace) -> list[dict]:
     """Solvers plus baselines on one dataset: one JSON row per algorithm with
     cost, runtime, and the cost ratio against the exhaustive optimum when the
     instance is small enough to enumerate."""
-    spec = config.spec()
-    metric = config.metric_obj()
-    with _open_input(config) as handle:
-        reader = PointReader(handle, config.group_col, max_groups=spec.m)
-        points = list(reader)
-        labels = list(reader.group_labels)
+    spec, metric = _spec_and_metric(args)
+    points, labels = _read_all(args, spec)
     if not points:
         raise ValueError("empty input file")
     group_sorted = all(points[i].group <= points[i + 1].group for i in range(len(points) - 1))
@@ -347,7 +290,7 @@ def _run_bench(config: RunConfig) -> list[dict]:
         rows.append(
             {
                 "schema": SCHEMA_BENCH,
-                "dataset": config.input,
+                "dataset": args.input,
                 "algorithm": "oracle",
                 "cost": r_opt,
                 "ratio": 1.0 if r_opt > 0 else None,
@@ -357,66 +300,41 @@ def _run_bench(config: RunConfig) -> list[dict]:
     except SizeGuardError:
         pass
 
-    def add_row(name: str, centers: CenterSet, runtime: float, fair: bool) -> None:
+    def add_row(name: str, centers: CenterSet, runtime: float) -> None:
         cost = clustering_cost(points, centers, metric)
         ratio = (cost / r_opt) if (r_opt is not None and r_opt > 0) else None
         rows.append(
             {
                 "schema": SCHEMA_BENCH,
-                "dataset": config.input,
+                "dataset": args.input,
                 "algorithm": name,
                 "cost": cost,
                 "ratio": ratio,
                 "runtime_s": runtime,
-                "caps_respected": fair,
+                "caps_respected": not check_fairness(centers, spec),
             }
         )
 
-    started = time.perf_counter()
-    ladder = Ladder(spec, metric, epsilon=config.epsilon, mode="general")
-    for p in points:
-        ladder.observe(p)
-    result = ladder.finish()
-    add_row("ladder-general", result.centers, time.perf_counter() - started,
-            not check_fairness(result.centers, spec))
-
-    if group_sorted:
+    # the group-sorted solver only runs on input it accepts
+    for mode in ("general", "semi") if group_sorted else ("general",):
         started = time.perf_counter()
-        ladder = Ladder(spec, metric, epsilon=config.epsilon, mode="semi")
+        ladder = Ladder(spec, metric, epsilon=args.epsilon, mode=mode)
         for p in points:
             ladder.observe(p)
         result = ladder.finish()
-        add_row("ladder-semi", result.centers, time.perf_counter() - started,
-                not check_fairness(result.centers, spec))
+        add_row(f"ladder-{mode}", result.centers, time.perf_counter() - started)
 
     started = time.perf_counter()
     baseline = gonzalez(points, spec.k, metric)
-    add_row("gonzalez", baseline, time.perf_counter() - started,
-            not check_fairness(baseline, spec))
+    add_row("gonzalez", baseline, time.perf_counter() - started)
     for row in rows:
         row["group_labels"] = labels
     return rows
 
 
-class InfeasibleRun(RuntimeError):
-    """The solver produced an infeasibility certificate instead of centers."""
-
-
-def run(config: RunConfig) -> dict | list[dict]:
-    """Dispatch one configured run and return its JSON-ready payload."""
-    if config.mode == "solve":
-        return _run_ladder(config, "general")
-    if config.mode == "semi":
-        return _run_ladder(config, "semi")
-    if config.mode == "known":
-        return _run_known(config)
-    if config.mode == "oracle":
-        return _run_oracle(config)
-    if config.mode == "gen":
-        return _run_gen(config)
-    if config.mode == "bench":
-        return _run_bench(config)
-    raise ValueError(f"unknown mode {config.mode!r}")
+def run(args: argparse.Namespace) -> dict | list[dict]:
+    """Run one parsed command line and return its JSON-ready payload."""
+    return args.handler(args)
 
 
 def _emit(payload: dict | list, out: str | None) -> None:
@@ -429,7 +347,10 @@ def _emit(payload: dict | list, out: str | None) -> None:
             handle.write(text + "\n")
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, handler, needs_input: bool = True, **defaults) -> None:
+    """The flags every subcommand takes; ``handler`` and ``defaults`` are set
+    on the parsed namespace for ``run``."""
+    parser.set_defaults(handler=handler, **defaults)
     if needs_input:
         parser.add_argument("--input", "-i", required=True, help="input CSV path, or '-' for standard input")
     parser.add_argument("--metric", default="euclidean", choices=["euclidean"], help="distance metric")
@@ -448,62 +369,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p = sub.add_parser("solve", help="one-pass radius-ladder run, any stream order")
-    _add_common(p)
+    _add_common(p, _run_stream, solver="general")
     p.add_argument("--epsilon", type=float, default=0.1, help="grid ratio between adjacent radius guesses")
     p.add_argument("--no-replay", action="store_true", help="skip the second pass that measures the cost")
 
     p = sub.add_parser("semi", help="one-pass radius-ladder run over a group-sorted stream")
-    _add_common(p)
+    _add_common(p, _run_stream, solver="semi")
     p.add_argument("--epsilon", type=float, default=0.1, help="grid ratio between adjacent radius guesses")
     p.add_argument("--no-replay", action="store_true", help="skip the second pass that measures the cost")
 
     p = sub.add_parser("known", help="single run at a fixed radius guess")
-    _add_common(p)
+    _add_common(p, _run_stream)
     p.add_argument("--radius", type=float, required=True, help="the fixed radius guess")
-    p.add_argument("--semi", action="store_true", help="use the group-sorted solver")
+    p.add_argument(
+        "--semi", dest="solver", action="store_const", const="semi", default="general",
+        help="use the group-sorted solver",
+    )
     p.add_argument("--no-replay", action="store_true", help="skip the second pass that measures the cost")
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
-    _add_common(p)
+    _add_common(p, _run_oracle)
 
     p = sub.add_parser(
         "gen",
         help="write a planted dataset with a known optimal radius "
         "(--out names the CSV; the JSON report prints to stdout)",
     )
-    _add_common(p, needs_input=False)
+    _add_common(p, _run_gen, needs_input=False)
     p.add_argument("--n", type=int, required=True, help="number of points")
     p.add_argument("--radius", type=float, required=True, help="planted optimal radius")
     p.add_argument("--dim", type=int, default=2, help="coordinate dimension")
     p.add_argument("--separation", type=float, default=4.0, help="anchor separation in planted radii (>= 4)")
 
     p = sub.add_parser("bench", help="solvers plus baselines on one dataset, as JSON rows")
-    _add_common(p)
+    _add_common(p, _run_bench)
     p.add_argument("--epsilon", type=float, default=0.1, help="grid ratio between adjacent radius guesses")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    caps = tuple(int(c) for c in str(args.caps).split(",") if c.strip() != "")
-    config = RunConfig(
-        mode=args.mode,
-        input=getattr(args, "input", None),
-        metric=args.metric,
-        group_col=args.group_col,
-        caps=caps,
-        k=args.k,
-        radius=getattr(args, "radius", None),
-        epsilon=getattr(args, "epsilon", 0.1),
-        seed=args.seed,
-        out=args.out,
-        no_replay=getattr(args, "no_replay", False),
-        semi_known=bool(getattr(args, "semi", False)),
-        n=getattr(args, "n", None),
-        dim=getattr(args, "dim", 2),
-        separation=getattr(args, "separation", 4.0),
-    )
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -511,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     # gen writes the dataset CSV to --out, so its JSON report goes to stdout
     report_target = None if args.mode == "gen" else args.out
     try:
-        _emit(run(_config_from_args(args)), report_target)
+        _emit(run(args), report_target)
     except Exception as exc:  # every failure ends as a structured report, never a traceback
         error = {
             "schema": SCHEMA_ERROR,

@@ -55,7 +55,8 @@ class DistanceMetric:
     def __call__(self, p: Point, q: Point) -> float:
         if len(p.coords) != len(q.coords):
             raise ValueError(
-                f"dimension mismatch: point {p.id} has {len(p.coords)} coords, point {q.id} has {len(q.coords)}"
+                f"dimension mismatch: point {p.id} has {len(p.coords)} coords, "
+                f"point {q.id} has {len(q.coords)}"
             )
         return self.fn(p.coords, q.coords)
 

@@ -24,23 +24,34 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point
 from .semi import SemiInstance
-from .solver import SolveOutcome, StreamInstance
+from .solver import SolveOutcome, SolverInstance, StreamInstance
 
-Instance = Union[StreamInstance, SemiInstance]
+_UNSERVABLE = "no feasible center set at any radius: the caps leave some observed group unservable"
+
+
+def make_instance(
+    mode: str, guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN
+) -> SolverInstance:
+    """One solver instance at one radius guess. The only place that maps a
+    mode name to a solver class: "general" for any stream order, "semi" for
+    group-sorted streams."""
+    if mode == "general":
+        return StreamInstance(guess, spec, metric)
+    if mode == "semi":
+        return SemiInstance(guess, spec, metric)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
 class LadderResult:
-    """Outcome of a ladder run: the smallest feasible guess and its centers.
-    ``cost`` stays None unless the caller replays the stream to measure it."""
+    """Outcome of a ladder run: the smallest feasible guess and its centers."""
 
     best_guess: float
     centers: CenterSet
-    cost: float | None
     discarded: int
 
 
@@ -58,8 +69,7 @@ class Ladder:
             raise ValueError("the ladder handles exactly two groups")
         if not 0.0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-        if mode not in ("general", "semi"):
-            raise ValueError(f"unknown mode {mode!r}")
+        make_instance(mode, 0.0, spec, metric)  # rejects an unknown mode now, not at the first rung
         self.spec = spec
         self.metric = metric
         self.epsilon = float(epsilon)
@@ -68,7 +78,7 @@ class Ladder:
         self._buffer_min_gap = math.inf  # smallest positive pairwise distance
         self._buffer_diameter = 0.0
         self.bootstrapping = True
-        self.instances: dict[float, Instance] = {}
+        self.instances: dict[float, SolverInstance] = {}
         self.guesses: list[float] = []  # every grid point ever spawned, ascending
         self.pruned: list[float] = []
         self.points_seen = 0
@@ -108,11 +118,6 @@ class Ladder:
                 self._buffer_diameter = d
         self.buffer.append(point)
 
-    def _new_instance(self, guess: float) -> Instance:
-        if self.mode == "general":
-            return StreamInstance(guess, self.spec, self.metric)
-        return SemiInstance(guess, self.spec, self.metric)
-
     def _spawn_initial_grid(self) -> None:
         """Grid from the smallest positive buffer gap up to a guess whose
         covering threshold spans the whole buffer; every instance replays the
@@ -120,20 +125,9 @@ class Ladder:
         low = self._buffer_min_gap
         grid = [low]
         while 2.0 * grid[-1] < self._buffer_diameter:
-            grid.append(grid[-1] * (1.0 + self.epsilon))
+            grid.append(self._next_guess(grid[-1]))
         for guess in grid:
-            self.guesses.append(guess)
-            inst = self._new_instance(guess)
-            alive = True
-            for p in self.buffer:
-                inst.process(p)
-                if inst.overflowed:
-                    alive = False
-                    break
-            if alive:
-                self.instances[guess] = inst
-            else:
-                self._retire(guess, inst)
+            self._spawn(guess, self.buffer)
         self.bootstrapping = False
         seed = self.buffer
         self.buffer = []
@@ -148,17 +142,17 @@ class Ladder:
         live = self._live_guesses()
         largest = live[-1]
         largest_min_dist: float | None = None
-        largest_overflowed: Instance | None = None
+        largest_overflowed: SolverInstance | None = None
         for guess in live:
             inst = self.instances[guess]
-            res = inst.process(point, probe_other=(guess == largest))
+            nearest_all = inst.process(point, probe_other=(guess == largest))
             if inst.overflowed:
                 self.instances.pop(guess)
                 self._retire(guess, inst)
                 if guess == largest:
                     largest_overflowed = inst
             elif guess == largest:
-                largest_min_dist = res.min_dist_all
+                largest_min_dist = nearest_all
         if largest_overflowed is not None:
             # the top guess just proved too small: its successor replays what
             # it stored and then sees the point that broke it
@@ -168,41 +162,54 @@ class Ladder:
             # so the replay seed already contains it
             self._extend_grid(list(self.instances[largest].stored_order), pending=None)
 
-    def _extend_grid(self, seed: list[Point], pending: Point | None) -> Instance:
+    def _next_guess(self, guess: float) -> float:
+        """One grid step up. Among subnormal numbers a (1+epsilon) factor can
+        round back to the guess itself, which would stall the grid forever;
+        there the step is one float ulp instead."""
+        return max(guess * (1.0 + self.epsilon), math.nextafter(guess, math.inf))
+
+    def _spawn(self, guess: float, replay: list[Point]) -> SolverInstance | None:
+        """Add a rung at ``guess`` seeded by replaying ``replay``; a rung the
+        replay overflows is retired at once and None is returned."""
+        self.guesses.append(guess)
+        inst = make_instance(self.mode, guess, self.spec, self.metric)
+        for p in replay:
+            inst.process(p)
+            if inst.overflowed:
+                self._retire(guess, inst)
+                return None
+        self.instances[guess] = inst
+        return inst
+
+    def _extend_grid(self, seed: list[Point], pending: Point | None) -> SolverInstance:
         """Append grid steps until one accepts the seed replay (and the
         pending point, when given) without overflowing."""
         base = self.guesses[-1]
         replay = seed + ([pending] if pending is not None else [])
         diameter: float | None = None
         while True:
-            base = base * (1.0 + self.epsilon)
-            self.guesses.append(base)
-            inst = self._new_instance(base)
-            alive = True
-            for p in replay:
-                inst.process(p)
-                if inst.overflowed:
-                    alive = False
-                    break
-            if alive:
-                self.instances[base] = inst
+            base = self._next_guess(base)
+            inst = self._spawn(base, replay)
+            if inst is not None:
                 return inst
-            self._retire(base, inst)
             if diameter is None:
-                diameter = 0.0
-                for i, p in enumerate(replay):
-                    for q in replay[i + 1 :]:
-                        diameter = max(diameter, self.metric(p, q))
-                        self.ladder_evals += 1
+                diameter = self._diameter(replay)
             if 2.0 * base >= diameter:
                 # at this threshold each group keeps at most one stored point,
                 # so an overflow means a populated group has cap zero and no
                 # other group can stand in for it
-                raise RuntimeError(
-                    "no feasible center set at any radius: the caps leave some observed group unservable"
-                )
+                raise RuntimeError(_UNSERVABLE)
 
-    def _retire(self, guess: float, inst: Instance) -> None:
+    def _diameter(self, points: list[Point]) -> float:
+        """Largest pairwise distance among ``points``, counted as ladder work."""
+        diameter = 0.0
+        for i, p in enumerate(points):
+            for q in points[i + 1 :]:
+                diameter = max(diameter, self.metric(p, q))
+                self.ladder_evals += 1
+        return diameter
+
+    def _retire(self, guess: float, inst: SolverInstance) -> None:
         self.pruned.append(guess)
         self._retired_stored_max = max(self._retired_stored_max, inst.stored_count)
         self._retired_evals += inst.distance_evals
@@ -236,28 +243,20 @@ class Ladder:
         for guess in self._live_guesses():
             outcome = self.instances[guess].finalize()
             if outcome.feasible:
-                return self._result(guess, outcome)
+                return LadderResult(guess, outcome.centers, len(self.pruned))
         # no grid guess worked; push the grid upward from the largest stored
         # set until a guess succeeds or the caps are provably unsatisfiable
         seed = self._replay_seed()
-        diameter = 0.0
-        for i, p in enumerate(seed):
-            for q in seed[i + 1 :]:
-                diameter = max(diameter, self.metric(p, q))
-                self.ladder_evals += 1
+        diameter = self._diameter(seed)
         while True:
             inst = self._extend_grid(seed, pending=None)
             outcome = inst.finalize()
             if outcome.feasible:
-                return self._result(self.guesses[-1], outcome)
+                return LadderResult(self.guesses[-1], outcome.centers, len(self.pruned))
             if self.guesses[-1] >= diameter:
-                raise RuntimeError(
-                    "no feasible center set at any radius: the caps leave some observed group unservable"
-                )
+                raise RuntimeError(_UNSERVABLE)
 
     def _replay_seed(self) -> list[Point]:
-        if self.buffer:
-            return list(self.buffer)
         if not self.instances:
             raise RuntimeError("no live instance to seed from")
         largest = self._live_guesses()[-1]
@@ -268,12 +267,8 @@ class Ladder:
         # radius zero, provided its group has a positive cap
         for p in self.buffer:
             if self.spec.cap(p.group) >= 1:
-                return LadderResult(0.0, CenterSet((p,)), None, len(self.pruned))
+                return LadderResult(0.0, CenterSet((p,)), len(self.pruned))
         raise RuntimeError("no observed group has a positive cap")
-
-    def _result(self, guess: float, outcome: SolveOutcome) -> LadderResult:
-        assert outcome.centers is not None
-        return LadderResult(guess, outcome.centers, None, len(self.pruned))
 
     # ------------------------------------------------------------------
     # reporting helpers
@@ -316,8 +311,10 @@ class Ladder:
         one per (1+epsilon) step between the lowest and highest guess."""
         if len(self.guesses) < 2:
             return max(len(self.guesses), 1)
-        ratio = self.guesses[-1] / self.guesses[0]
-        return math.ceil(math.log(ratio) / math.log(1.0 + self.epsilon) - 1e-9) + 1
+        # a difference of logs: the quotient of the guesses overflows once the
+        # lowest guess is subnormal
+        log_ratio = math.log(self.guesses[-1]) - math.log(self.guesses[0])
+        return math.ceil(log_ratio / math.log(1.0 + self.epsilon) - 1e-9) + 1
 
 
 def run_known(
@@ -334,12 +331,7 @@ def run_known(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if mode == "general":
-        inst: Instance = StreamInstance(radius, spec, metric)
-    elif mode == "semi":
-        inst = SemiInstance(radius, spec, metric)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    inst = make_instance(mode, radius, spec, metric)
     for p in points:
         inst.process(p)
         if inst.overflowed:

@@ -14,59 +14,28 @@ the optimum.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness
-from .independent import IndependentSet, OfferStatus
-from .solver import InfeasibleReason, SolveOutcome
+from .independent import OfferStatus
+from .solver import InfeasibleReason, SolveOutcome, SolverInstance
 
 
 class StreamOrderError(ValueError):
     """A group-1 point arrived after group-2 streaming had begun."""
 
 
-@dataclass(frozen=True)
-class SemiProcessResult:
-    added: bool
-    min_dist_all: float | None
-
-
-class SemiInstance:
+class SemiInstance(SolverInstance):
     """Streaming state for one radius guess over a group-ordered stream."""
 
     def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN) -> None:
-        if spec.m != 2:
-            raise ValueError("this solver handles exactly two groups")
-        if not 0.0 <= radius_guess < math.inf:
-            raise ValueError(f"radius guess must be finite and nonnegative, got {radius_guess}")
-        self.radius_guess = float(radius_guess)
-        self.threshold = 2.0 * self.radius_guess
-        self.spec = spec
-        self.metric = metric
-        # group-1 representatives can legitimately number up to k (not k1):
-        # only more than k of them certify the guess was too small
-        self.reps1 = IndependentSet(self.threshold, metric, cap=spec.k, group_filter=1)
-        self.reps2 = IndependentSet(self.threshold, metric, cap=spec.caps[1], group_filter=2)
+        super().__init__(radius_guess, spec, metric, cap2=spec.caps[1])
         self.replacements: list[Point] = []
         self.replacement_of: dict[int, Point] = {}  # reps1 member id -> group-2 stand-in
         self.group2_started = False
-        self.overflowed = False
-        self.finalized = False
-        self.points_processed = 0
-        self.stored_order: list[Point] = []
-        self.worst_update_excess: int | None = None
-        self.path: str | None = None
 
-    @property
-    def distance_evals(self) -> int:
-        return self.reps1.distance_evals + self.reps2.distance_evals
-
-    @property
-    def stored_count(self) -> int:
-        return len(self.stored_order)
-
-    def process(self, point: Point, probe_other: bool = False) -> SemiProcessResult:
+    def process(self, point: Point, probe_other: bool = False) -> float | None:
+        """Feed one point. With ``probe_other`` the nearest stored distance
+        over both groups is returned; without it, or after an overflow, None
+        is."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
@@ -77,16 +46,16 @@ class SemiInstance:
         budget = 2 * n1 + n2
         evals_before = self.distance_evals
         if point.group == 1:
-            result = self._process_group1(point, probe_other)
+            nearest_all = self._process_group1(point, probe_other)
         else:
-            result = self._process_group2(point, probe_other)
+            nearest_all = self._process_group2(point, probe_other)
         excess = (self.distance_evals - evals_before) - budget
         if self.worst_update_excess is None or excess > self.worst_update_excess:
             self.worst_update_excess = excess
         self.points_processed += 1
-        return result
+        return nearest_all
 
-    def _process_group1(self, point: Point, probe_other: bool) -> SemiProcessResult:
+    def _process_group1(self, point: Point, probe_other: bool) -> float | None:
         if self.group2_started:
             raise StreamOrderError(
                 f"point {point.id}: group-1 point after group-2 streaming began; "
@@ -95,57 +64,44 @@ class SemiInstance:
         res = self.reps1.offer(point)
         if res.status is OfferStatus.OVERFLOW:
             self.overflowed = True
-            return SemiProcessResult(False, None)
+            return None
         if res.status is OfferStatus.ADDED:
             self.stored_order.append(point)
-        min_all = None
         if probe_other:
-            min_all = min(res.min_dist, self.reps2.min_dist(point))
-        return SemiProcessResult(res.status is OfferStatus.ADDED, min_all)
+            return min(res.min_dist, self.reps2.min_dist(point))
+        return None
 
-    def _process_group2(self, point: Point, probe_other: bool) -> SemiProcessResult:
+    def _process_group2(self, point: Point, probe_other: bool) -> float | None:
         self.group2_started = True
         lam = self.threshold
         dist1, nearest_rep = self.reps1.nearest(point)
         dist2: float | None = None
-        added = False
-        if len(self.reps1) <= self.spec.caps[0]:
-            # group 1 fits its cap: admit only points clear of group 1 by one
-            # and a half thresholds and clear of stored group-2 points
-            if dist1 > 1.5 * lam:
-                res = self.reps2.offer(point)
-                dist2 = res.min_dist
-                if res.status is OfferStatus.OVERFLOW:
-                    self.overflowed = True
-                    return SemiProcessResult(False, None)
-                if res.status is OfferStatus.ADDED:
-                    added = True
-                    self.stored_order.append(point)
-        else:
-            if dist1 > lam:
-                res = self.reps2.offer(point)
-                dist2 = res.min_dist
-                if res.status is OfferStatus.OVERFLOW:
-                    self.overflowed = True
-                    return SemiProcessResult(False, None)
-                if res.status is OfferStatus.ADDED:
-                    added = True
-                    self.stored_order.append(point)
-            # independently, the point may become the stand-in for one stored
-            # group-1 representative. Only the nearest one can qualify:
-            # representatives sit farther than a threshold apart, so no two
-            # can both be within half a threshold of the point.
-            if dist1 <= lam / 2.0 and nearest_rep is not None:
-                if nearest_rep.id not in self.replacement_of:
-                    self.replacement_of[nearest_rep.id] = point
-                    self.replacements.append(point)
-                    self.stored_order.append(point)
-        min_all = None
-        if probe_other:
-            if dist2 is None:
-                dist2 = self.reps2.min_dist(point)
-            min_all = min(dist1, dist2)
-        return SemiProcessResult(added, min_all)
+        group1_fits = len(self.reps1) <= self.spec.caps[0]
+        # admit only points clear of stored group-2 points and clear of group
+        # 1 by one and a half thresholds while group 1 fits its cap, by one
+        # threshold otherwise
+        if dist1 > (1.5 * lam if group1_fits else lam):
+            res = self.reps2.offer(point)
+            dist2 = res.min_dist
+            if res.status is OfferStatus.OVERFLOW:
+                self.overflowed = True
+                return None
+            if res.status is OfferStatus.ADDED:
+                self.stored_order.append(point)
+        # with group 1 over its cap, the point may independently become the
+        # stand-in for one stored group-1 representative. Only the nearest one
+        # can qualify: representatives sit farther than a threshold apart, so
+        # no two can both be within half a threshold of the point.
+        if not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
+            if nearest_rep.id not in self.replacement_of:
+                self.replacement_of[nearest_rep.id] = point
+                self.replacements.append(point)
+                self.stored_order.append(point)
+        if not probe_other:
+            return None
+        if dist2 is None:
+            dist2 = self.reps2.min_dist(point)
+        return min(dist1, dist2)
 
     def finalize(self) -> SolveOutcome:
         """Assemble the centers; swaps surplus group-1 representatives for

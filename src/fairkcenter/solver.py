@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness
-from .independent import IndependentSet, OfferResult, OfferStatus
+from .independent import IndependentSet, OfferStatus
 
 
 class InfeasibleReason(Enum):
@@ -51,20 +51,13 @@ class SolveOutcome:
         return cls(None, reason)
 
 
-@dataclass(frozen=True)
-class ProcessResult:
-    """Outcome of feeding one point, with the distances measured doing so.
-    ``min_dist_all`` is only known when the other group was probed too."""
+class SolverInstance:
+    """Lifecycle bookkeeping both one-pass solvers share: the radius guess
+    and its separation threshold, one representative set per group, and the
+    counters the ladder's resource contracts read. ``cap2`` bounds the
+    group-2 set. Subclasses define ``process`` and ``finalize`` themselves."""
 
-    offer: OfferResult
-    min_dist_own: float
-    min_dist_all: float | None
-
-
-class StreamInstance:
-    """Streaming state for one radius guess over a two-group stream."""
-
-    def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN) -> None:
+    def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric, cap2: int) -> None:
         if spec.m != 2:
             raise ValueError("this solver handles exactly two groups")
         if not 0.0 <= radius_guess < math.inf:
@@ -73,30 +66,39 @@ class StreamInstance:
         self.threshold = 2.0 * self.radius_guess
         self.spec = spec
         self.metric = metric
-        self.reps = {
-            1: IndependentSet(self.threshold, metric, cap=spec.k, group_filter=1),
-            2: IndependentSet(self.threshold, metric, cap=spec.k, group_filter=2),
-        }
+        # group-1 representatives can legitimately number up to k (not k1):
+        # only more than k of them certify the guess was too small
+        self.reps1 = IndependentSet(self.threshold, metric, cap=spec.k, group_filter=1)
+        self.reps2 = IndependentSet(self.threshold, metric, cap=cap2, group_filter=2)
         self.overflowed = False
         self.finalized = False
         self.points_processed = 0
         self.stored_order: list[Point] = []
         self.worst_update_excess: int | None = None
         self.path: str | None = None  # which selection branch finalize took
-        self.last_graph: CrossGroupGraph | None = None
 
     @property
     def distance_evals(self) -> int:
-        return self.reps[1].distance_evals + self.reps[2].distance_evals
+        return self.reps1.distance_evals + self.reps2.distance_evals
 
     @property
     def stored_count(self) -> int:
         return len(self.stored_order)
 
-    def process(self, point: Point, probe_other: bool = False) -> ProcessResult:
+
+class StreamInstance(SolverInstance):
+    """Streaming state for one radius guess over a two-group stream."""
+
+    def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN) -> None:
+        super().__init__(radius_guess, spec, metric, cap2=spec.k)
+        self.reps = {1: self.reps1, 2: self.reps2}
+        self.last_graph: CrossGroupGraph | None = None
+
+    def process(self, point: Point, probe_other: bool = False) -> float | None:
         """Route the point to its group's set. With ``probe_other`` the other
         group's set is scanned too, so the total work stays at one evaluation
-        per currently stored point."""
+        per currently stored point, and the nearest stored distance over both
+        groups is returned; without it, or after an overflow, None is."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
@@ -108,20 +110,19 @@ class StreamInstance:
         budget = len(own) + len(other)
         evals_before = self.distance_evals
         res = own.offer(point)
-        other_dist: float | None = None
+        nearest_all: float | None = None
         if res.status is OfferStatus.OVERFLOW:
             self.overflowed = True
         elif res.status is OfferStatus.ADDED:
             self.stored_order.append(point)
         if probe_other and not self.overflowed:
-            other_dist = other.min_dist(point)
+            nearest_all = min(res.min_dist, other.min_dist(point))
         used = self.distance_evals - evals_before
         excess = used - budget
         if self.worst_update_excess is None or excess > self.worst_update_excess:
             self.worst_update_excess = excess
         self.points_processed += 1
-        min_all = None if other_dist is None else min(res.min_dist, other_dist)
-        return ProcessResult(res, res.min_dist, min_all)
+        return nearest_all
 
     def finalize(self) -> SolveOutcome:
         """Select centers from the stored representatives. One-shot."""

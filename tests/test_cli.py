@@ -1,7 +1,12 @@
+import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairkcenter.cli import CsvFormatError, PointReader, main
 
@@ -287,3 +292,141 @@ def test_overflowing_distances_still_get_an_answer(tmp_path, capsys):
     report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON constant {name}"))
     assert sorted(c["id"] for c in report["centers"]) == [2, 3]
     assert report["cost"] == 1e308
+
+
+# ----------------------------------------------------------------------
+# reports pinned byte for byte
+# ----------------------------------------------------------------------
+PINNED_CSV = (
+    "x,y,group\n"
+    "0,0,a\n10,0,b\n0.5,0.5,a\n10.4,0.3,b\n5,8,a\n0,9.5,b\n"
+    "5.5,8.2,a\n20,1,b\n-3,2,a\n19.5,1.5,b\n0.2,-0.4,b\n4.8,7.6,a\n"
+)
+PINNED_SORTED_CSV = "x,y,group\n" + "".join(
+    sorted(PINNED_CSV.splitlines(keepends=True)[1:], key=lambda row: row.rstrip().split(",")[-1])
+)
+PINNED_RUNS = {
+    "solve": ["solve", "--caps", "2,2", "--seed", "7"],
+    "solve-no-replay": ["solve", "--caps", "2,2", "--no-replay", "--epsilon", "0.2"],
+    "semi": ["semi", "--caps", "2,2"],
+    "known": ["known", "--caps", "2,2", "--radius", "2.0"],
+    "known-semi": ["known", "--caps", "2,2", "--radius", "2.0", "--semi"],
+    "known-infeasible": ["known", "--caps", "2,2", "--radius", "0.3"],
+    "oracle": ["oracle", "--caps", "2,2"],
+    "bench": ["bench", "--caps", "2,2"],
+}
+PINNED_PATH = Path(__file__).with_name("golden") / "cli_reports.json"
+
+
+def _masked(text, tmp_dir):
+    text = re.sub(r'"(wall_time_s|runtime_s)": [^,}\n]+', r'"\1": _', text)
+    return text.replace(str(tmp_dir), "<tmp>")
+
+
+def pinned_reports(tmp_dir):
+    """Exit code and masked report text of every pinned run, keyed by name.
+    Only timings and file paths are masked; everything else, key order and
+    indentation included, is compared as text. ``golden/cli_reports.json``
+    holds this function's output as captured before the CLI was folded onto
+    argparse handlers; rewrite it only for an intended report change."""
+    tmp_dir = Path(tmp_dir)
+    reports = {}
+    for data_name, text in (("mixed", PINNED_CSV), ("sorted", PINNED_SORTED_CSV)):
+        csv_path = tmp_dir / f"{data_name}.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        for run_name, argv in PINNED_RUNS.items():
+            out = tmp_dir / f"{data_name}-{run_name}.json"
+            rc = main([argv[0], "--input", str(csv_path), *argv[1:], "--out", str(out)])
+            reports[f"{data_name}/{run_name}"] = f"exit {rc}\n" + _masked(out.read_text(), tmp_dir)
+    gen_csv = tmp_dir / "gen.csv"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        argv = ["gen", "--caps", "2,1", "--n", "9", "--radius", "1.5", "--seed", "4", "--out", str(gen_csv)]
+        rc = main(argv)
+    reports["gen"] = f"exit {rc}\n" + _masked(stdout.getvalue(), tmp_dir)
+    reports["gen/csv"] = gen_csv.read_text()
+    return reports
+
+
+def test_reports_match_the_pinned_text(tmp_path):
+    expected = json.loads(PINNED_PATH.read_text(encoding="utf-8"))
+    actual = pinned_reports(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    for name in expected:
+        assert actual[name] == expected[name], name
+
+
+# ----------------------------------------------------------------------
+# malformed input never ends in garbage or a traceback
+# ----------------------------------------------------------------------
+FUZZ_NUMBERS = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["1e308", "-1e308", "5e-324", "0.0", "-0"]),
+)
+FUZZ_JUNK = st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "abc", "1,5", '"2"'])
+FUZZ_LABELS = st.sampled_from(["1", "2"])
+FUZZ_ODD_LABELS = st.sampled_from(["3", "a", " 2", ""])
+
+
+@st.composite
+def malformed_csvs(draw):
+    """Mostly well-formed two-group CSV text with random damage: random
+    header names, ragged rows, empty, non-numeric and non-finite cells, a
+    third group, and the rows sorted by group, reversed or left as drawn."""
+    dim = draw(st.integers(0, 3))
+    group_at = draw(st.integers(0, dim))
+    header = [f"x{i}" for i in range(dim)]
+    header.insert(group_at, "group")
+    if draw(st.integers(0, 4)) == 0:
+        header = draw(st.lists(st.sampled_from(["x", "y", "group", "Group", "", "1"]), max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [draw(FUZZ_NUMBERS) for _ in range(dim)]
+        row.insert(group_at, draw(FUZZ_LABELS if draw(st.integers(0, 9)) else FUZZ_ODD_LABELS))
+        damage = draw(st.integers(0, 29))
+        if damage == 0 and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(FUZZ_JUNK)
+        elif damage == 1:
+            row = row[:-1]
+        elif damage == 2:
+            row.append(draw(FUZZ_NUMBERS))
+        rows.append(row)
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    if order == "sorted":
+        rows.sort(key=lambda row: row[group_at] if group_at < len(row) else "")
+    elif order == "reversed":
+        rows.reverse()
+    return "".join(",".join(row) + "\n" for row in [header] + rows)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+# Derandomized, so the suite's time is fixed (about 2 s): a draw that spreads
+# the radius ladder from a subnormal gap up to 1e308 spawns thousands of rungs
+# and can take most of a second on its own.
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    text=malformed_csvs(),
+    caps=st.sampled_from(["1,1", "2,1", "1,0", "0,2", "1,1,1"]),
+    radius=st.sampled_from(["0", "0.5", "3"]),
+)
+def test_malformed_csv_ends_in_strict_json_or_the_error_schema(tmp_path, text, caps, radius):
+    path = write(tmp_path, "fuzz.csv", text)
+    for argv in (["solve"], ["semi"], ["known", "--radius", radius], ["oracle"]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = main([argv[0], "--input", path, "--caps", caps, *argv[1:]])
+        payload = json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+        if rc == 0:
+            assert payload["schema"] == "fairkcenter-report/1"
+        else:
+            assert rc == 1
+            assert payload["schema"] == "fairkcenter-error/1"

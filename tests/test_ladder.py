@@ -6,6 +6,7 @@ from fairkcenter import (
     FairnessSpec,
     Ladder,
     Point,
+    SemiInstance,
     StreamInstance,
     brute_force_opt,
     check_fairness,
@@ -13,6 +14,7 @@ from fairkcenter import (
     generate_planted,
     run_known,
 )
+from fairkcenter.ladder import make_instance
 
 from conftest import pt, stream
 
@@ -270,3 +272,40 @@ def test_center_ids_do_not_depend_on_coordinate_scale(scale_instance, mode, fact
     if math.frexp(factor)[0] == 0.5:
         # a power of two scales every distance, and so every guess, exactly
         assert scaled.best_guess == bases[mode].best_guess * factor
+
+
+# ----------------------------------------------------------------------
+# one instance factory
+# ----------------------------------------------------------------------
+def test_make_instance_maps_each_mode_to_its_solver():
+    assert type(make_instance("general", 1.0, FairnessSpec((1, 1)))) is StreamInstance
+    assert type(make_instance("semi", 1.0, FairnessSpec((1, 1)))) is SemiInstance
+
+
+@pytest.mark.parametrize("entry", ["make_instance", "run_known", "Ladder"])
+def test_unknown_mode_is_rejected_alike_everywhere(entry):
+    spec = FairnessSpec((1, 1))
+    build = {
+        "make_instance": lambda: make_instance("sorted", 1.0, spec),
+        "run_known": lambda: run_known(1.0, stream([(0.0, 1)]), spec, mode="sorted"),
+        "Ladder": lambda: Ladder(spec, mode="sorted"),
+    }[entry]
+    with pytest.raises(ValueError, match=r"^unknown mode 'sorted'$"):
+        build()
+
+
+# ----------------------------------------------------------------------
+# subnormal gaps
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_a_subnormal_buffer_gap_still_grows_the_grid(mode):
+    # 5e-324 is the smallest subnormal float: 5e-324 * 1.1 rounds back to
+    # 5e-324, and a grid stepped by that factor alone never grows. The step
+    # is checked first, so a regression fails here instead of hanging below.
+    spec = FairnessSpec((1, 1))
+    assert Ladder(spec, mode=mode)._next_guess(5e-324) > 5e-324
+    points = stream([(0.0, 1), (10.0, 1), (5e-324, 2), (20.0, 2)])  # optimum 10
+    ladder, result = run_ladder(points, spec, mode)
+    assert check_fairness(result.centers, spec) == []
+    assert clustering_cost(points, result.centers) <= 5.0 * 1.1 * 10.0
+    assert ladder.spawned_count <= ladder.grid_bound

@@ -178,3 +178,34 @@ def test_update_cost_stays_within_budget(rng):
             if inst.overflowed:
                 break
         assert inst.worst_update_excess <= 0
+
+
+# ----------------------------------------------------------------------
+# what process returns (the ladder extends its grid on it)
+# ----------------------------------------------------------------------
+def test_process_probe_for_group_2_points_with_and_without_an_offer():
+    inst = SemiInstance(1.0, FairnessSpec((1, 2)))  # threshold 2; group 1 fits, so the gate is 3
+    assert inst.process(pt(0, 0.0, 1), probe_other=True) == math.inf
+    # offered to reps2 (10 > 3) and stored: nearest is the group-1 rep
+    assert inst.process(pt(1, 10.0, 2), probe_other=True) == 10.0
+    # not offered (2.5 <= 3): reps2 is scanned separately, group 1 is nearer
+    assert inst.process(pt(2, 2.5, 2), probe_other=True) == 2.5
+    assert [p.id for p in inst.reps2.members] == [1]
+    # offered and covered by the stored group-2 point
+    assert inst.process(pt(3, 11.5, 2), probe_other=True) == 1.5
+    assert inst.process(pt(4, 11.0, 2)) is None
+
+
+def test_process_returns_the_nearest_stored_distance_only_when_probing(rng):
+    for trial in range(40):
+        points, spec = random_two_group_instance(rng)
+        inst = SemiInstance(float(rng.uniform(0.5, 4.0)), spec)
+        for p in group_sorted(points):
+            stored = inst.reps1.members + inst.reps2.members  # stand-ins are not scanned
+            expected = min((distance(p, q) for q in stored), default=math.inf)
+            probe = bool(rng.integers(0, 2))
+            got = inst.process(p, probe_other=probe)
+            if inst.overflowed:
+                assert got is None
+                break
+            assert got == (expected if probe else None)

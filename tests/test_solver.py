@@ -11,6 +11,7 @@ from fairkcenter import (
     build_cross_graph,
     check_fairness,
     clustering_cost,
+    distance,
     run_known,
     select_with_both_groups_over,
     select_with_one_group_over,
@@ -257,3 +258,29 @@ def test_ratio_bound_on_random_instances(rng):
         assert check_fairness(out.centers, spec) == []
         cost = clustering_cost(points, out.centers)
         assert r_opt - 1e-9 <= cost <= 5.0 * r_opt + 1e-9
+
+
+# ----------------------------------------------------------------------
+# what process returns (the ladder extends its grid on it)
+# ----------------------------------------------------------------------
+def test_process_returns_the_nearest_stored_distance_only_when_probing(rng):
+    for trial in range(40):
+        points, spec = random_two_group_instance(rng)
+        inst = StreamInstance(float(rng.uniform(0.5, 4.0)), spec)
+        for p in points:
+            stored = inst.reps[1].members + inst.reps[2].members
+            expected = min((distance(p, q) for q in stored), default=math.inf)
+            probe = bool(rng.integers(0, 2))
+            got = inst.process(p, probe_other=probe)
+            if inst.overflowed:
+                assert got is None
+                break
+            assert got == (expected if probe else None)
+
+
+def test_process_probe_on_a_hand_stream():
+    inst = StreamInstance(1.0, SPEC_12)  # threshold 2
+    assert inst.process(pt(0, 0.0, 1), probe_other=True) == math.inf  # nothing stored yet
+    assert inst.process(pt(1, 10.0, 2), probe_other=True) == 10.0  # only the other group is stored
+    assert inst.process(pt(2, 7.0, 1)) is None
+    assert inst.process(pt(3, 9.0, 1), probe_other=True) == 1.0  # the other group is nearer
