@@ -14,12 +14,11 @@ from .core import (
     DistanceMetric,
     FairnessSpec,
     Point,
-    Violation,
     check_fairness,
     clustering_cost,
     distance,
 )
-from .independent import IndependentSet, OfferResult, OfferStatus
+from .independent import IndependentSet, OfferStatus
 from .ladder import Ladder, LadderResult, run_known
 from .oracle import (
     GenerationError,
@@ -33,7 +32,6 @@ from .oracle import (
 )
 from .semi import SemiInstance, StreamOrderError
 from .solver import (
-    CrossGroupGraph,
     InfeasibleReason,
     SolveOutcome,
     StreamInstance,
@@ -45,7 +43,6 @@ from .solver import (
 __all__ = [
     "EUCLIDEAN",
     "CenterSet",
-    "CrossGroupGraph",
     "Dataset",
     "DistanceMetric",
     "FairnessSpec",
@@ -54,7 +51,6 @@ __all__ = [
     "InfeasibleReason",
     "Ladder",
     "LadderResult",
-    "OfferResult",
     "OfferStatus",
     "OracleResult",
     "PlantedDataset",
@@ -64,7 +60,6 @@ __all__ = [
     "SolveOutcome",
     "StreamInstance",
     "StreamOrderError",
-    "Violation",
     "brute_force_opt",
     "build_cross_graph",
     "candidate_radii",

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness, clustering_cost
 from .ladder import Ladder, make_instance
@@ -164,6 +164,14 @@ def _report(
     }
 
 
+def _finite_cost(points: Iterable[Point], centers: CenterSet, metric: DistanceMetric) -> float:
+    """The clustering cost; reports hold finite numbers, so an overflow is an error."""
+    cost = clustering_cost(points, centers, metric)
+    if not math.isfinite(cost):
+        raise OverflowError(f"the clustering cost overflowed the float range ({cost})")
+    return cost
+
+
 def _run_stream(args: argparse.Namespace) -> dict:
     """solve, semi and known: one pass over the input into a radius ladder,
     or into one solver instance at the fixed ``--radius``."""
@@ -179,7 +187,8 @@ def _run_stream(args: argparse.Namespace) -> dict:
             handle, args.group_col, max_groups=spec.m, require_group_sorted=(args.solver == "semi")
         )
         if known:
-            for point in reader:
+            processed = 0
+            for processed, point in enumerate(reader, 1):
                 inst.process(point)
                 if inst.overflowed:
                     break
@@ -188,7 +197,7 @@ def _run_stream(args: argparse.Namespace) -> dict:
                 ladder.observe(point)
         labels = list(reader.group_labels)
     if known:
-        if inst.points_processed == 0:
+        if processed == 0:
             raise ValueError("empty input: no data rows")
         outcome = inst.finalize()
         elapsed = time.perf_counter() - started
@@ -197,9 +206,9 @@ def _run_stream(args: argparse.Namespace) -> dict:
         centers = outcome.centers
         head = {"mode": f"known-{args.solver}", "r_hat": args.radius}
         counters = {
-            "points_processed": inst.points_processed,
+            "points_processed": processed,
             "stored_points_peak": inst.stored_count,
-            "distance_evaluations": inst.distance_evals,
+            "distance_evaluations": inst.stats.distance_evals,
         }
     else:
         result = ladder.finish()
@@ -221,7 +230,7 @@ def _run_stream(args: argparse.Namespace) -> dict:
     if args.input != "-" and not args.no_replay:
         with _open_input(args) as handle:
             reader = PointReader(handle, args.group_col, max_groups=spec.m)
-            report["cost"] = clustering_cost(reader, centers, metric)
+            report["cost"] = _finite_cost(reader, centers, metric)
     report["wall_time_s"] = elapsed
     return report
 
@@ -301,7 +310,7 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
         pass
 
     def add_row(name: str, centers: CenterSet, runtime: float) -> None:
-        cost = clustering_cost(points, centers, metric)
+        cost = _finite_cost(points, centers, metric)
         ratio = (cost / r_opt) if (r_opt is not None and r_opt > 0) else None
         rows.append(
             {

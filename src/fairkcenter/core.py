@@ -1,5 +1,5 @@
 """Shared data model: points with group labels, per-group center caps,
-distance evaluation, and solution-quality measurement."""
+distance evaluation, solution-quality measurement and run counters."""
 
 from __future__ import annotations
 
@@ -167,6 +167,18 @@ def clustering_cost(
     if worst < 0:
         raise ValueError("empty point set")
     return worst
+
+
+@dataclass(slots=True)
+class RunStats:
+    """The counters the memory and update-time contracts check, shared by a
+    ladder, its rungs and their stored sets; a standalone rung or set keeps its own."""
+
+    distance_evals: int = 0  # every metric evaluation the run made
+    stored: int = 0  # points the live rungs hold together
+    stored_peak: int = 0  # most points the live rungs and the bootstrap buffer held after a point
+    instance_peak: int = 0  # most points any one rung held, live or pruned
+    update_excess: int = 0  # worst per-point evaluations above the stored-set budget
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EUCLIDEAN, Coords, DistanceMetric, Point
+from .core import EUCLIDEAN, Coords, DistanceMetric, Point, RunStats
 
 
 class OfferStatus(Enum):
@@ -42,6 +42,7 @@ class IndependentSet:
         metric: DistanceMetric = EUCLIDEAN,
         cap: int | None = None,
         group_filter: int | None = None,
+        stats: RunStats | None = None,
     ) -> None:
         if threshold < 0:
             raise ValueError("threshold must be nonnegative")
@@ -53,7 +54,7 @@ class IndependentSet:
         self.group_filter = group_filter
         self.members: list[Point] = []
         self.overflowed = False
-        self.distance_evals = 0
+        self.stats = stats if stats is not None else RunStats()
         self._coords: list[Coords] = []  # members' coords, same order
 
     def __len__(self) -> int:
@@ -65,12 +66,13 @@ class IndependentSet:
         One exact kernel for every set size and metric: ``metric.fn`` on the
         stored coordinate tuples in storage order, so euclidean distances are
         ``math.dist``'s (correctly scaled, no underflow) at any size. Costs
-        exactly one distance evaluation per stored point. The first strict
+        exactly one distance evaluation per stored point, counted in
+        ``stats``. The first strict
         minimum wins: ties keep the earliest-stored point, and a NaN or inf
         distance never becomes the nearest.
         """
         coords = self._coords
-        self.distance_evals += len(coords)
+        self.stats.distance_evals += len(coords)
         pc = p.coords
         if coords and len(pc) != len(coords[0]):
             raise ValueError(

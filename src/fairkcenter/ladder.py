@@ -2,15 +2,21 @@
 
 The optimal radius is unknown up front, so a geometric grid of guesses runs
 side by side, each guess owning one solver instance fed every point. The
-grid anchors itself on a small bootstrap buffer: among the first k+2 points
-two must share an optimal cluster, so the smallest positive pairwise gap in
-the buffer is at most twice the optimal radius and makes a safe lowest
-guess. Guesses that provably undershoot prune themselves when their stored
-sets overflow. When the stream outgrows the largest guess (a point lands
-beyond its covering threshold from everything that guess stored), the grid
-extends upward one step at a time, seeding each new instance by replaying
-the stored points of the largest existing one; the slack that replay
-seeding introduces is covered by the grid's step factor.
+grid starts at the smallest positive pairwise gap among the first k+2
+buffered points. That lowest guess is not always at or below the optimal
+radius. When the buffer holds k+1 distinct points, two of them share an
+optimal cluster, but that only puts the gap at or below twice the optimum;
+when duplicates leave k distinct points, the gap bounds nothing. So every
+answer meets the caps and costs at most 5x (general) or 3x (semi) its own
+guess, but the 5(1+epsilon) / 3(1+epsilon) bounds against the optimum hold
+only when the lowest guess does not overshoot it (ROADMAP item 3a).
+
+Guesses that provably undershoot prune themselves when their stored sets
+overflow. When the stream outgrows the largest guess (a point lands beyond
+its covering threshold from everything that guess stored), the grid extends
+upward one step at a time, seeding each new instance by replaying the
+stored points of the largest existing one; the slack that replay seeding
+introduces is covered by the grid's step factor.
 
 NOTES
 -----
@@ -26,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats
 from .semi import SemiInstance
 from .solver import SolveOutcome, SolverInstance, StreamInstance
 
@@ -34,15 +40,16 @@ _UNSERVABLE = "no feasible center set at any radius: the caps leave some observe
 
 
 def make_instance(
-    mode: str, guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN
+    mode: str, guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
+    stats: RunStats | None = None,
 ) -> SolverInstance:
-    """One solver instance at one radius guess. The only place that maps a
-    mode name to a solver class: "general" for any stream order, "semi" for
-    group-sorted streams."""
+    """One solver instance at one radius guess, counting into ``stats`` (its
+    own when None). The only place that maps a mode name to a solver class:
+    "general" for any stream order, "semi" for group-sorted streams."""
     if mode == "general":
-        return StreamInstance(guess, spec, metric)
+        return StreamInstance(guess, spec, metric, stats)
     if mode == "semi":
-        return SemiInstance(guess, spec, metric)
+        return SemiInstance(guess, spec, metric, stats)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -78,18 +85,14 @@ class Ladder:
         self._buffer_min_gap = math.inf  # smallest positive pairwise distance
         self._buffer_diameter = 0.0
         self.bootstrapping = True
+        # live rungs by guess, in insertion order, which is ascending: every
+        # spawn sits above all earlier guesses, so the last one is the top
         self.instances: dict[float, SolverInstance] = {}
         self.guesses: list[float] = []  # every grid point ever spawned, ascending
         self.pruned: list[float] = []
         self.points_seen = 0
-        self.ladder_evals = 0  # bootstrap and fallback scans outside the instances
-        self.total_stored_peak = 0
+        self.stats = RunStats()  # shared by every rung, live or pruned
         self.finished = False
-        # retired-instance stats, kept so resource contracts stay checkable
-        # after pruned instances release their storage
-        self._retired_stored_max = 0
-        self._retired_update_excess: int | None = None
-        self._retired_evals = 0
 
     # ------------------------------------------------------------------
     # streaming
@@ -103,15 +106,15 @@ class Ladder:
             self._buffer_point(point)
             if len(self.buffer) >= self.spec.k + 2 and self._buffer_min_gap < math.inf:
                 self._spawn_initial_grid()
-            self._note_stored_peak()
-            return
-        self._dispatch(point)
-        self._note_stored_peak()
+        else:
+            self._dispatch(point)
+        stats = self.stats
+        stats.stored_peak = max(stats.stored_peak, len(self.buffer) + stats.stored)
 
     def _buffer_point(self, point: Point) -> None:
+        self.stats.distance_evals += len(self.buffer)
         for other in self.buffer:
             d = self.metric(point, other)
-            self.ladder_evals += 1
             if 0.0 < d < self._buffer_min_gap:
                 self._buffer_min_gap = d
             if d > self._buffer_diameter:
@@ -135,32 +138,22 @@ class Ladder:
             # every initial guess overflowed on the buffer itself
             self._extend_grid(seed, pending=None)
 
-    def _live_guesses(self) -> list[float]:
-        return sorted(self.instances)
-
     def _dispatch(self, point: Point) -> None:
-        live = self._live_guesses()
-        largest = live[-1]
-        largest_min_dist: float | None = None
-        largest_overflowed: SolverInstance | None = None
-        for guess in live:
-            inst = self.instances[guess]
-            nearest_all = inst.process(point, probe_other=(guess == largest))
+        live = list(self.instances.items())
+        top = live[-1][1]
+        for guess, inst in live:
+            # the top rung comes last, so its nearest distance is the one kept
+            nearest_all = inst.process(point, probe_other=inst is top)
             if inst.overflowed:
-                self.instances.pop(guess)
-                self._retire(guess, inst)
-                if guess == largest:
-                    largest_overflowed = inst
-            elif guess == largest:
-                largest_min_dist = nearest_all
-        if largest_overflowed is not None:
+                self._retire(guess, self.instances.pop(guess))
+        if top.overflowed:
             # the top guess just proved too small: its successor replays what
             # it stored and then sees the point that broke it
-            self._extend_grid(list(largest_overflowed.stored_order), pending=point)
-        elif largest_min_dist is not None and largest_min_dist > self.instances[largest].threshold:
+            self._extend_grid(list(top.stored_order), pending=point)
+        elif nearest_all > top.threshold:
             # the stream outgrew the top guess; the point itself was stored,
             # so the replay seed already contains it
-            self._extend_grid(list(self.instances[largest].stored_order), pending=None)
+            self._extend_grid(list(top.stored_order), pending=None)
 
     def _next_guess(self, guess: float) -> float:
         """One grid step up. Among subnormal numbers a (1+epsilon) factor can
@@ -172,7 +165,7 @@ class Ladder:
         """Add a rung at ``guess`` seeded by replaying ``replay``; a rung the
         replay overflows is retired at once and None is returned."""
         self.guesses.append(guess)
-        inst = make_instance(self.mode, guess, self.spec, self.metric)
+        inst = make_instance(self.mode, guess, self.spec, self.metric, self.stats)
         for p in replay:
             inst.process(p)
             if inst.overflowed:
@@ -202,27 +195,17 @@ class Ladder:
 
     def _diameter(self, points: list[Point]) -> float:
         """Largest pairwise distance among ``points``, counted as ladder work."""
+        self.stats.distance_evals += len(points) * (len(points) - 1) // 2
         diameter = 0.0
         for i, p in enumerate(points):
             for q in points[i + 1 :]:
                 diameter = max(diameter, self.metric(p, q))
-                self.ladder_evals += 1
         return diameter
 
     def _retire(self, guess: float, inst: SolverInstance) -> None:
+        """Prune a rung: its stored points leave the live total, its counts stay."""
         self.pruned.append(guess)
-        self._retired_stored_max = max(self._retired_stored_max, inst.stored_count)
-        self._retired_evals += inst.distance_evals
-        excess = inst.worst_update_excess
-        if excess is not None and (
-            self._retired_update_excess is None or excess > self._retired_update_excess
-        ):
-            self._retired_update_excess = excess
-
-    def _note_stored_peak(self) -> None:
-        total = len(self.buffer) + sum(inst.stored_count for inst in self.instances.values())
-        if total > self.total_stored_peak:
-            self.total_stored_peak = total
+        self.stats.stored -= inst.stored_count
 
     # ------------------------------------------------------------------
     # post-streaming
@@ -240,13 +223,13 @@ class Ladder:
                 self._spawn_initial_grid()
             else:
                 return self._degenerate_result()
-        for guess in self._live_guesses():
-            outcome = self.instances[guess].finalize()
+        for guess, inst in self.instances.items():
+            outcome = inst.finalize()
             if outcome.feasible:
                 return LadderResult(guess, outcome.centers, len(self.pruned))
-        # no grid guess worked; push the grid upward from the largest stored
+        # no grid guess worked; push the grid upward from the top rung's stored
         # set until a guess succeeds or the caps are provably unsatisfiable
-        seed = self._replay_seed()
+        seed = list(next(reversed(self.instances.values())).stored_order)
         diameter = self._diameter(seed)
         while True:
             inst = self._extend_grid(seed, pending=None)
@@ -255,12 +238,6 @@ class Ladder:
                 return LadderResult(self.guesses[-1], outcome.centers, len(self.pruned))
             if self.guesses[-1] >= diameter:
                 raise RuntimeError(_UNSERVABLE)
-
-    def _replay_seed(self) -> list[Point]:
-        if not self.instances:
-            raise RuntimeError("no live instance to seed from")
-        largest = self._live_guesses()[-1]
-        return list(self.instances[largest].stored_order)
 
     def _degenerate_result(self) -> LadderResult:
         # every buffered point coincides: one point covers the stream at
@@ -274,28 +251,24 @@ class Ladder:
     # reporting helpers
     # ------------------------------------------------------------------
     @property
+    def total_stored_peak(self) -> int:
+        return self.stats.stored_peak
+
+    @property
     def total_distance_evals(self) -> int:
-        live = sum(inst.distance_evals for inst in self.instances.values())
-        return live + self._retired_evals + self.ladder_evals
+        return self.stats.distance_evals
 
     @property
     def per_instance_stored_peak(self) -> int:
         """Largest stored-point count any instance (live or pruned) reached."""
-        live = max((inst.stored_count for inst in self.instances.values()), default=0)
-        return max(live, self._retired_stored_max)
+        return self.stats.instance_peak
 
     @property
     def worst_update_excess(self) -> int:
         """Worst per-point evaluation count relative to the per-instance
         budget, across every instance live or pruned; at most zero when the
         update-time contract holds."""
-        worst: int | None = self._retired_update_excess
-        for inst in self.instances.values():
-            if inst.worst_update_excess is not None and (
-                worst is None or inst.worst_update_excess > worst
-            ):
-                worst = inst.worst_update_excess
-        return 0 if worst is None else worst
+        return self.stats.update_excess
 
     @property
     def spawned_count(self) -> int:

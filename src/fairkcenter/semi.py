@@ -14,7 +14,7 @@ the optimum.
 
 from __future__ import annotations
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
 from .independent import OfferStatus
 from .solver import InfeasibleReason, SolveOutcome, SolverInstance
 
@@ -26,8 +26,11 @@ class StreamOrderError(ValueError):
 class SemiInstance(SolverInstance):
     """Streaming state for one radius guess over a group-ordered stream."""
 
-    def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN) -> None:
-        super().__init__(radius_guess, spec, metric, cap2=spec.caps[1])
+    def __init__(
+        self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
+        stats: RunStats | None = None,
+    ) -> None:
+        super().__init__(radius_guess, spec, metric, stats, cap2=spec.caps[1])
         self.replacements: list[Point] = []
         self.replacement_of: dict[int, Point] = {}  # reps1 member id -> group-2 stand-in
         self.group2_started = False
@@ -42,17 +45,16 @@ class SemiInstance(SolverInstance):
             raise RuntimeError("instance already overflowed")
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        n1, n2 = len(self.reps1), len(self.reps2)
-        budget = 2 * n1 + n2
-        evals_before = self.distance_evals
+        budget = 2 * len(self.reps1) + len(self.reps2)
+        stats = self.stats
+        evals_before = stats.distance_evals
         if point.group == 1:
             nearest_all = self._process_group1(point, probe_other)
         else:
             nearest_all = self._process_group2(point, probe_other)
-        excess = (self.distance_evals - evals_before) - budget
-        if self.worst_update_excess is None or excess > self.worst_update_excess:
-            self.worst_update_excess = excess
-        self.points_processed += 1
+        excess = stats.distance_evals - evals_before - budget
+        if excess > stats.update_excess:
+            stats.update_excess = excess
         return nearest_all
 
     def _process_group1(self, point: Point, probe_other: bool) -> float | None:
@@ -66,7 +68,7 @@ class SemiInstance(SolverInstance):
             self.overflowed = True
             return None
         if res.status is OfferStatus.ADDED:
-            self.stored_order.append(point)
+            self._store(point)
         if probe_other:
             return min(res.min_dist, self.reps2.min_dist(point))
         return None
@@ -87,7 +89,7 @@ class SemiInstance(SolverInstance):
                 self.overflowed = True
                 return None
             if res.status is OfferStatus.ADDED:
-                self.stored_order.append(point)
+                self._store(point)
         # with group 1 over its cap, the point may independently become the
         # stand-in for one stored group-1 representative. Only the nearest one
         # can qualify: representatives sit farther than a threshold apart, so
@@ -96,7 +98,7 @@ class SemiInstance(SolverInstance):
             if nearest_rep.id not in self.replacement_of:
                 self.replacement_of[nearest_rep.id] = point
                 self.replacements.append(point)
-                self.stored_order.append(point)
+                self._store(point)
         if not probe_other:
             return None
         if dist2 is None:

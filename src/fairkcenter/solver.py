@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
 from .independent import IndependentSet, OfferStatus
 
 
@@ -54,10 +54,14 @@ class SolveOutcome:
 class SolverInstance:
     """Lifecycle bookkeeping both one-pass solvers share: the radius guess
     and its separation threshold, one representative set per group, and the
-    counters the ladder's resource contracts read. ``cap2`` bounds the
-    group-2 set. Subclasses define ``process`` and ``finalize`` themselves."""
+    points stored so far, counted into ``stats``. ``cap2`` bounds the group-2
+    set (k by default, as for group 1). Subclasses define ``process`` and
+    ``finalize`` themselves."""
 
-    def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric, cap2: int) -> None:
+    def __init__(
+        self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
+        stats: RunStats | None = None, cap2: int | None = None,
+    ) -> None:
         if spec.m != 2:
             raise ValueError("this solver handles exactly two groups")
         if not 0.0 <= radius_guess < math.inf:
@@ -66,33 +70,33 @@ class SolverInstance:
         self.threshold = 2.0 * self.radius_guess
         self.spec = spec
         self.metric = metric
+        self.stats = stats if stats is not None else RunStats()
         # group-1 representatives can legitimately number up to k (not k1):
         # only more than k of them certify the guess was too small
-        self.reps1 = IndependentSet(self.threshold, metric, cap=spec.k, group_filter=1)
-        self.reps2 = IndependentSet(self.threshold, metric, cap=cap2, group_filter=2)
+        self.reps1 = IndependentSet(self.threshold, metric, cap=spec.k, group_filter=1, stats=self.stats)
+        self.reps2 = IndependentSet(
+            self.threshold, metric, cap=spec.k if cap2 is None else cap2, group_filter=2, stats=self.stats
+        )
+        self.reps = {1: self.reps1, 2: self.reps2}
         self.overflowed = False
         self.finalized = False
-        self.points_processed = 0
         self.stored_order: list[Point] = []
-        self.worst_update_excess: int | None = None
         self.path: str | None = None  # which selection branch finalize took
-
-    @property
-    def distance_evals(self) -> int:
-        return self.reps1.distance_evals + self.reps2.distance_evals
 
     @property
     def stored_count(self) -> int:
         return len(self.stored_order)
 
+    def _store(self, point: Point) -> None:
+        self.stored_order.append(point)
+        self.stats.stored += 1
+        self.stats.instance_peak = max(self.stats.instance_peak, len(self.stored_order))
+
 
 class StreamInstance(SolverInstance):
     """Streaming state for one radius guess over a two-group stream."""
 
-    def __init__(self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN) -> None:
-        super().__init__(radius_guess, spec, metric, cap2=spec.k)
-        self.reps = {1: self.reps1, 2: self.reps2}
-        self.last_graph: CrossGroupGraph | None = None
+    last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
 
     def process(self, point: Point, probe_other: bool = False) -> float | None:
         """Route the point to its group's set. With ``probe_other`` the other
@@ -105,23 +109,21 @@ class StreamInstance(SolverInstance):
             raise RuntimeError("instance already overflowed")
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        own = self.reps[point.group]
-        other = self.reps[3 - point.group]
+        own, other = self.reps[point.group], self.reps[3 - point.group]
         budget = len(own) + len(other)
-        evals_before = self.distance_evals
+        stats = self.stats
+        evals_before = stats.distance_evals
         res = own.offer(point)
         nearest_all: float | None = None
         if res.status is OfferStatus.OVERFLOW:
             self.overflowed = True
         elif res.status is OfferStatus.ADDED:
-            self.stored_order.append(point)
+            self._store(point)
         if probe_other and not self.overflowed:
             nearest_all = min(res.min_dist, other.min_dist(point))
-        used = self.distance_evals - evals_before
-        excess = used - budget
-        if self.worst_update_excess is None or excess > self.worst_update_excess:
-            self.worst_update_excess = excess
-        self.points_processed += 1
+        excess = stats.distance_evals - evals_before - budget
+        if excess > stats.update_excess:
+            stats.update_excess = excess
         return nearest_all
 
     def finalize(self) -> SolveOutcome:

@@ -294,6 +294,19 @@ def test_overflowing_distances_still_get_an_answer(tmp_path, capsys):
     assert report["cost"] == 1e308
 
 
+@pytest.mark.parametrize("mode", ["solve", "bench"])
+def test_an_overflowing_cost_is_reported_as_an_overflow(tmp_path, capsys, mode):
+    # with group 2 capped at zero the ladder keeps the point at 1e308, whose
+    # distance to -1e308 overflows, so the replayed cost is inf
+    path = write(tmp_path, "huge.csv", "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n")
+    rc = main([mode, "--input", path, "--caps", "1,0"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "OverflowError"
+    assert "overflowed the float range" in payload["error"]["message"]
+
+
 # ----------------------------------------------------------------------
 # reports pinned byte for byte
 # ----------------------------------------------------------------------

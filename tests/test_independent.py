@@ -92,10 +92,10 @@ def test_group_filter_mismatch():
 def test_offer_costs_exactly_one_eval_per_member():
     s = IndependentSet(3.0)
     for i, x in enumerate([0.0, 10.0, 20.0, 11.0, 40.0]):
-        before = s.distance_evals
+        before = s.stats.distance_evals
         members_before = len(s)
         s.offer(pt(i, x))
-        assert s.distance_evals - before == members_before
+        assert s.stats.distance_evals - before == members_before
 
 
 offer_rows = st.lists(
@@ -146,7 +146,7 @@ def test_custom_metric_matches_euclidean_decisions(rng):
             p = pt(i, tuple(c))
             assert fast.offer(p).status == slow.offer(p).status
         assert [p.id for p in fast.members] == [p.id for p in slow.members]
-        assert fast.distance_evals == slow.distance_evals
+        assert fast.stats.distance_evals == slow.stats.distance_evals
 
 
 # ----------------------------------------------------------------------

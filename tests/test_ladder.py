@@ -193,9 +193,35 @@ def test_memory_and_update_contracts_on_planted_run():
     per_instance_cap = 2 * spec.k + 2
     for inst in ladder.instances.values():
         assert inst.stored_count <= per_instance_cap
-        assert (inst.worst_update_excess or 0) <= 0
+    assert ladder.stats.update_excess <= 0
     assert ladder.spawned_count <= ladder.grid_bound
     assert ladder.total_stored_peak <= ladder.spawned_count * per_instance_cap
+
+
+@pytest.mark.parametrize(
+    "mode, counters",
+    [
+        # (total evals, total stored peak, per-rung peak, update excess, spawned, pruned)
+        ("general", (43087, 297, 16, 0, 38, 8)),
+        ("semi", (20046, 119, 12, 0, 45, 38)),
+    ],
+)
+def test_run_counters_are_pinned(mode, counters):
+    # both runs prune rungs and the semi sweep extends its grid, so the
+    # retire and extend paths both feed these totals
+    spec = FairnessSpec((4, 4))
+    points = list(generate_planted(spec, 400, 1.0, seed=9).points)
+    if mode == "semi":
+        points.sort(key=lambda p: (p.group, p.coords[0]))
+    ladder, _ = run_ladder(points, spec, mode=mode)
+    assert (
+        ladder.total_distance_evals,
+        ladder.total_stored_peak,
+        ladder.per_instance_stored_peak,
+        ladder.worst_update_excess,
+        ladder.spawned_count,
+        len(ladder.pruned),
+    ) == counters
 
 
 def test_pruned_guesses_are_reported():

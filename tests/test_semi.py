@@ -177,7 +177,7 @@ def test_update_cost_stays_within_budget(rng):
             inst.process(p, probe_other=True)
             if inst.overflowed:
                 break
-        assert inst.worst_update_excess <= 0
+        assert inst.stats.update_excess <= 0
 
 
 # ----------------------------------------------------------------------

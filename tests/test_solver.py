@@ -218,7 +218,7 @@ def test_update_cost_stays_within_stored_size():
     inst = StreamInstance(1.0, SPEC_12)
     for p in stream([(0.0, 1), (100.0, 1), (1.0, 2), (2.0, 2), (50.0, 2)]):
         inst.process(p, probe_other=True)
-    assert inst.worst_update_excess <= 0
+    assert inst.stats.update_excess <= 0
 
 
 def test_finalize_is_one_shot():
