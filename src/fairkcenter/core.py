@@ -60,6 +60,30 @@ class DistanceMetric:
             )
         return self.fn(p.coords, q.coords)
 
+    def nearest(self, p: Point, stored: Sequence[Coords]) -> tuple[float, int]:
+        """Nearest of ``stored`` to ``p``: (distance, index), (inf, -1) when empty.
+
+        The one nearest-point kernel: ``fn`` on the coordinate tuples in
+        order, exactly one evaluation per stored point, so euclidean
+        distances are ``math.dist``'s (correctly scaled, no underflow) at any
+        size. The first strict minimum wins: ties keep the earliest index,
+        and a NaN or inf distance never becomes the nearest. The dimension
+        is checked once, against the first stored point.
+        """
+        pc = p.coords
+        if stored and len(pc) != len(stored[0]):
+            raise ValueError(
+                f"dimension mismatch: point {p.id} has {len(pc)} coords, stored points have {len(stored[0])}"
+            )
+        best = math.inf
+        best_idx = -1
+        fn = self.fn
+        for idx, q in enumerate(stored):
+            d = fn(pc, q)
+            if d < best:
+                best, best_idx = d, idx
+        return best, best_idx
+
 
 EUCLIDEAN = DistanceMetric.euclidean()
 
@@ -158,12 +182,15 @@ def clustering_cost(
     metric: DistanceMetric = EUCLIDEAN,
 ) -> float:
     """max over points of the distance to the nearest center."""
-    cs = list(centers)
-    if not cs:
+    coords = [c.coords for c in centers]
+    if not coords:
         raise ValueError("empty center set")
+    if len(set(map(len, coords))) > 1:
+        raise ValueError("dimension mismatch among the centers")
     worst = -1.0
+    nearest = metric.nearest
     for p in points:
-        worst = max(worst, min(metric(p, c) for c in cs))
+        worst = max(worst, nearest(p, coords)[0])
     if worst < 0:
         raise ValueError("empty point set")
     return worst
@@ -174,7 +201,9 @@ class RunStats:
     """The counters the memory and update-time contracts check, shared by a
     ladder, its rungs and their stored sets; a standalone rung or set keeps its own."""
 
-    distance_evals: int = 0  # every metric evaluation the run made
+    # stored-set scans (streaming and the one-over filter), the bootstrap buffer and
+    # replay diameters; the both-over graph and cover are not counted
+    distance_evals: int = 0
     stored: int = 0  # points the live rungs hold together
     stored_peak: int = 0  # most points the live rungs and the bootstrap buffer held after a point
     instance_peak: int = 0  # most points any one rung held, live or pruned

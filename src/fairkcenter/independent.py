@@ -11,7 +11,6 @@ be pairwise separated by more than that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,31 +60,11 @@ class IndependentSet:
         return len(self.members)
 
     def _scan(self, p: Point) -> tuple[float, int]:
-        """Nearest stored point: (distance, index), (inf, -1) when empty.
-
-        One exact kernel for every set size and metric: ``metric.fn`` on the
-        stored coordinate tuples in storage order, so euclidean distances are
-        ``math.dist``'s (correctly scaled, no underflow) at any size. Costs
-        exactly one distance evaluation per stored point, counted in
-        ``stats``. The first strict
-        minimum wins: ties keep the earliest-stored point, and a NaN or inf
-        distance never becomes the nearest.
-        """
-        coords = self._coords
-        self.stats.distance_evals += len(coords)
-        pc = p.coords
-        if coords and len(pc) != len(coords[0]):
-            raise ValueError(
-                f"dimension mismatch: point {p.id} has {len(pc)} coords, stored points have {len(coords[0])}"
-            )
-        best = math.inf
-        best_idx = -1
-        fn = self.metric.fn
-        for idx, q in enumerate(coords):
-            d = fn(pc, q)
-            if d < best:
-                best, best_idx = d, idx
-        return best, best_idx
+        """Nearest stored point: (distance, index), (inf, -1) when empty, by
+        ``metric.nearest`` over the stored coordinates; its one evaluation
+        per stored point is counted in ``stats``."""
+        self.stats.distance_evals += len(self._coords)
+        return self.metric.nearest(p, self._coords)
 
     def min_dist(self, p: Point) -> float:
         """Distance from ``p`` to the nearest stored point; inf when empty."""

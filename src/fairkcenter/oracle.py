@@ -54,10 +54,11 @@ def brute_force_opt(
     (rows, n) arrays, so memory stays bounded whatever the subset count.
     The tie-break is that of a plain loop: within a size the first minimum
     in lexicographic order wins, and a later block or a larger size must be
-    strictly cheaper to replace it. A NaN or infinite cost never wins, so
-    if every subset scores one the instance counts as infeasible. The
-    distance matrix calls ``metric`` once per pair i <= j and mirrors it,
-    relying on the metric's symmetry. Guarded to small instances; raise the
+    strictly cheaper to replace it. A NaN or infinite cost never wins; if
+    subsets were scored but every one scores such a cost, the error says so
+    rather than calling the instance infeasible. The distance matrix calls
+    ``metric`` once per pair i <= j and mirrors it, relying on the metric's
+    symmetry. Guarded to small instances; raise the
     guards explicitly to go bigger.
     """
     pts = list(points)
@@ -107,6 +108,11 @@ def brute_force_opt(
                 best_cost = float(costs[at])
                 best_combo = tuple(int(i) for i in rows[at])
     if best_combo is None:
+        if evaluated:
+            raise ValueError(
+                "every cap-feasible center set has a non-finite cost "
+                "(the distances overflow the float range or are NaN)"
+            )
         raise ValueError("no cap-feasible center set exists for this dataset")
     witness = CenterSet(tuple(pts[i] for i in best_combo))
     return OracleResult(best_cost, witness, evaluated)

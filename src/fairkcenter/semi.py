@@ -45,7 +45,7 @@ class SemiInstance(SolverInstance):
             raise RuntimeError("instance already overflowed")
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        budget = 2 * len(self.reps1) + len(self.reps2)
+        budget = len(self.reps1) + len(self.reps2)  # each path scans each set at most once
         stats = self.stats
         evals_before = stats.distance_evals
         if point.group == 1:

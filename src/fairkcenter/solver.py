@@ -17,7 +17,7 @@ the optimum, never an error: the radius ladder relies on that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
@@ -176,45 +176,21 @@ def select_with_one_group_over(
     return SolveOutcome.ok(centers)
 
 
+@dataclass
 class CrossGroupGraph:
     """Bipartite graph over both groups' representatives with an edge between
-    cross-group pairs within the link radius (three radius guesses). Also
-    carries the mutable selection state: the live vertex set shrinks as the
-    cover loop removes vertices, and every loop iteration is traced."""
+    cross-group pairs within the link radius (three radius guesses). The cover
+    records one ``loop_trace`` entry per loop iteration: (|chosen|, chosen
+    group-1 count, chosen group-2 count, live group-1, live group-2)."""
 
-    def __init__(
-        self,
-        left: list[Point],
-        right: list[Point],
-        radius_guess: float,
-        metric: DistanceMetric = EUCLIDEAN,
-    ) -> None:
-        self.radius_guess = float(radius_guess)
-        self.link_radius = 3.0 * self.radius_guess
-        self.metric = metric
-        self.left = list(left)
-        self.right = list(right)
-        self.points: dict[int, Point] = {p.id: p for p in self.left + self.right}
-        if len(self.points) != len(self.left) + len(self.right):
-            raise ValueError("duplicate point ids across the two sides")
-        self.adj: dict[int, set[int]] = {pid: set() for pid in self.points}
-        self.edges: set[tuple[int, int]] = set()
-        for p in self.left:
-            for q in self.right:
-                if metric(p, q) <= self.link_radius:
-                    self.adj[p.id].add(q.id)
-                    self.adj[q.id].add(p.id)
-                    self.edges.add((p.id, q.id))
-        self.live: set[int] = set(self.points)
-        # (|chosen|, chosen group-1 count, chosen group-2 count, live group-1, live group-2)
-        # recorded at the start of each cover-loop iteration
-        self.loop_trace: list[tuple[int, int, int, int, int]] = []
+    link_radius: float
+    points: dict[int, Point]
+    adj: dict[int, set[int]]
+    edges: set[tuple[int, int]]
+    loop_trace: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
     def degree(self, pid: int) -> int:
-        return len(self.adj[pid] & self.live)
-
-    def live_in_group(self, group: int) -> list[int]:
-        return sorted(pid for pid in self.live if self.points[pid].group == group)
+        return len(self.adj[pid])
 
 
 def build_cross_graph(
@@ -224,7 +200,19 @@ def build_cross_graph(
     metric: DistanceMetric = EUCLIDEAN,
 ) -> CrossGroupGraph:
     """Link cross-group representatives within three radius guesses."""
-    return CrossGroupGraph(list(g1.members), list(g2.members), radius_guess, metric)
+    link_radius = 3.0 * radius_guess
+    points = {p.id: p for p in g1.members + g2.members}
+    if len(points) != len(g1) + len(g2):
+        raise ValueError("duplicate point ids across the two sides")
+    adj: dict[int, set[int]] = {pid: set() for pid in points}
+    edges: set[tuple[int, int]] = set()
+    for p in g1.members:
+        for q in g2.members:
+            if metric(p, q) <= link_radius:
+                adj[p.id].add(q.id)
+                adj[q.id].add(p.id)
+                edges.add((p.id, q.id))
+    return CrossGroupGraph(link_radius, points, adj, edges)
 
 
 def select_with_both_groups_over(
@@ -241,87 +229,74 @@ def select_with_both_groups_over(
     has more remaining cap); otherwise take the vertex with the most degree-1
     neighbors and retire those neighbors with it. Whenever one group's chosen
     plus remaining representatives fit its cap, everything remaining is
-    resolved directly and selection ends early.
+    resolved directly and selection ends early. Each iteration retires at
+    least one live vertex, so the loop runs at most once per vertex.
     """
-    k = spec.k
-    near_radius = 2.0 * radius_guess
-    link_radius = graph.link_radius
+    points, adj = graph.points, graph.adj
+    live = {pid for pid in points if adj[pid]}
     chosen: list[Point] = []
+    counts = [0, 0]  # chosen per group
 
-    def chosen_min_dist(p: Point) -> float:
-        return min((metric(p, c) for c in chosen), default=math.inf)
+    def take(p: Point) -> None:
+        chosen.append(p)
+        counts[0 if p.group == 1 else 1] += 1
 
-    def chosen_counts() -> tuple[int, int]:
-        c1 = sum(1 for p in chosen if p.group == 1)
-        return c1, len(chosen) - c1
+    def live_in(group: int) -> list[int]:
+        return sorted(pid for pid in live if points[pid].group == group)
 
     # isolated vertices serve their own neighborhoods; nothing across the
     # groups can stand in for them
-    for pid in sorted(graph.live):
-        if graph.degree(pid) == 0:
-            p = graph.points[pid]
-            if chosen_min_dist(p) > near_radius:
-                chosen.append(p)
-    graph.live -= {pid for pid in graph.live if graph.degree(pid) == 0}
+    near_radius = 2.0 * radius_guess
+    for pid in sorted(points):
+        p = points[pid]
+        if not adj[pid] and metric.nearest(p, [c.coords for c in chosen])[0] > near_radius:
+            take(p)
 
     def try_early_exit() -> list[Point] | None:
         """When some group's chosen + live representatives fit its cap, take
         them all, plus the other side's live points not already served within
         the link radius."""
-        counts = chosen_counts()
         for group in (1, 2):
-            live_ids = graph.live_in_group(group)
-            if counts[group - 1] + len(live_ids) <= spec.caps[group - 1]:
-                base = list(chosen)
-                base.extend(graph.points[pid] for pid in live_ids)
-                extra = [
-                    graph.points[pid]
-                    for pid in graph.live_in_group(3 - group)
-                    if min((metric(graph.points[pid], c) for c in base), default=math.inf) > link_radius
-                ]
-                return base + extra
+            mine = live_in(group)
+            if counts[group - 1] + len(mine) <= spec.caps[group - 1]:
+                base = chosen + [points[pid] for pid in mine]
+                served = [c.coords for c in base]
+                others = (points[pid] for pid in live_in(3 - group))
+                return base + [q for q in others if metric.nearest(q, served)[0] > graph.link_radius]
         return None
 
     final = try_early_exit()  # harmless pre-loop check; fires only when already feasible
-    initial_live = len(graph.live)
+    initial_live = len(live)
     iterations = 0
-    while final is None and len(chosen) <= k and graph.live:
+    while final is None and len(chosen) <= spec.k and live:
         iterations += 1
         if iterations > initial_live:
             raise AssertionError("cover loop failed to shrink the live vertex set")
-        c1, c2 = chosen_counts()
-        graph.loop_trace.append(
-            (len(chosen), c1, c2, len(graph.live_in_group(1)), len(graph.live_in_group(2)))
-        )
-        degree_one = [pid for pid in graph.live if graph.degree(pid) == 1]
-        if not degree_one:
+        graph.loop_trace.append((len(chosen), counts[0], counts[1], len(live_in(1)), len(live_in(2))))
+        ones = {pid for pid in live if len(adj[pid] & live) == 1}
+        if not ones:
             # all live degrees are >= 2: retire the smallest cross edge
-            left_id = min(pid for pid in graph.live if graph.points[pid].group == 1 and graph.degree(pid) > 0)
-            right_id = min(graph.adj[left_id] & graph.live)
-            slack1 = spec.caps[0] - c1
-            slack2 = spec.caps[1] - c2
-            pick = left_id if slack1 >= slack2 else right_id
-            chosen.append(graph.points[pick])
+            left_id = min(pid for pid in live if points[pid].group == 1 and adj[pid] & live)
+            right_id = min(adj[left_id] & live)
+            slack1 = spec.caps[0] - counts[0]
+            slack2 = spec.caps[1] - counts[1]
+            take(points[left_id if slack1 >= slack2 else right_id])
             removed = {left_id, right_id}
         else:
-            best_id = -1
-            best_leaves: set[int] = set()
-            for pid in sorted(graph.live):
-                leaves = {q for q in graph.adj[pid] & graph.live if graph.degree(q) == 1}
-                if best_id < 0 or len(leaves) > len(best_leaves):
-                    best_id, best_leaves = pid, leaves
-            chosen.append(graph.points[best_id])
-            removed = {best_id} | best_leaves
-        graph.live -= removed
+            # the first vertex in id order with the most degree-1 neighbors
+            best_id = max(sorted(live), key=lambda pid: len(adj[pid] & ones))
+            take(points[best_id])
+            removed = {best_id} | (adj[best_id] & ones)
+        live -= removed
         # removals may lower neighbors' degrees but can never isolate them
         for rid in removed:
-            for w in graph.adj[rid] & graph.live:
-                if graph.degree(w) == 0:
+            for w in adj[rid] & live:
+                if not adj[w] & live:
                     raise AssertionError("vertex removal created an isolated live vertex")
         final = try_early_exit()
 
     if final is None:
-        if graph.live:
+        if live:
             # budget exhausted with vertices still uncovered: guess too small
             return SolveOutcome.infeasible(InfeasibleReason.SELECTION_EXHAUSTED)
         final = chosen

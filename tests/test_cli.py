@@ -294,6 +294,21 @@ def test_overflowing_distances_still_get_an_answer(tmp_path, capsys):
     assert report["cost"] == 1e308
 
 
+def test_an_oracle_whose_every_cost_overflows_says_so(tmp_path, capsys):
+    # {1e308} is cap-feasible, but its distance to -1e308 overflows to inf:
+    # the error must name the overflow, not claim no feasible set exists
+    path = write(tmp_path, "huge.csv", "x,group\n1e308,1\n-1e308,2\n")
+    rc = main(["oracle", "--input", path, "--caps", "1,0"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "ValueError"
+    assert payload["error"]["message"] == (
+        "every cap-feasible center set has a non-finite cost "
+        "(the distances overflow the float range or are NaN)"
+    )
+
+
 @pytest.mark.parametrize("mode", ["solve", "bench"])
 def test_an_overflowing_cost_is_reported_as_an_overflow(tmp_path, capsys, mode):
     # with group 2 capped at zero the ladder keeps the point at 1e308, whose

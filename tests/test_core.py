@@ -49,6 +49,48 @@ def test_distance_custom_callable():
     assert distance(pt(0, (0.0, 0.0)), pt(1, (3.0, 4.0)), manhattan) == 7.0
 
 
+def test_nearest_of_an_empty_list_is_inf():
+    assert EUCLIDEAN.nearest(pt(0, (1.0, 2.0)), []) == (math.inf, -1)
+
+
+def test_nearest_keeps_the_earliest_of_exact_ties():
+    stored = [(3.0,), (-1.0,), (1.0,), (-1.0,)]
+    assert EUCLIDEAN.nearest(pt(0, 0.0), stored) == (1.0, 1)
+
+
+def poisoned_metric():
+    """|a - b| in 1-D, except that stored coordinate 5 is at NaN and 6 at inf."""
+    special = {5.0: math.nan, 6.0: math.inf}
+    return DistanceMetric.from_callable(lambda a, b: special.get(b[0], abs(a[0] - b[0])), "poisoned")
+
+
+def test_nearest_never_picks_a_nan_or_inf_distance():
+    metric = poisoned_metric()
+    p = pt(0, 0.0)
+    assert metric.nearest(p, [(5.0,), (6.0,), (2.0,), (5.0,), (3.0,)]) == (2.0, 2)
+    assert metric.nearest(p, [(5.0,), (5.0,)]) == (math.inf, -1)
+    assert metric.nearest(p, [(6.0,), (5.0,)]) == (math.inf, -1)
+
+
+def test_nearest_names_the_point_on_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: point 7 has 1 coords, stored points have 2"):
+        EUCLIDEAN.nearest(pt(7, 0.0), [(0.0, 0.0), (1.0, 1.0)])
+
+
+def test_cost_checks_every_center_dimension():
+    # a zip-based metric would silently truncate the longer coordinate tuple
+    manhattan = DistanceMetric.from_callable(lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))
+    pts = stream([((0.0, 0.0), 1)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        clustering_cost(pts, [pt(8, (1.0, 1.0)), pt(9, 1.0)], manhattan)
+
+
+def test_cost_ignores_a_nan_distance():
+    # the point at 0 is NaN from center 5 and 3 from center 3
+    pts = stream([(0.0, 1), (3.0, 1)])
+    assert clustering_cost(pts, [pt(8, 5.0), pt(9, 3.0)], poisoned_metric()) == 3.0
+
+
 @given(coords3, coords3, coords3)
 def test_triangle_inequality_euclidean(a, b, c):
     pa, pb, pc = pt(0, a), pt(1, b), pt(2, c)

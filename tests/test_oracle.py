@@ -118,6 +118,11 @@ def reference_brute_force(points, spec, metric=EUCLIDEAN, max_n=16, max_k=5):
                 best_cost = cost
                 best_combo = combo
     if best_combo is None:
+        if evaluated:
+            raise ValueError(
+                "every cap-feasible center set has a non-finite cost "
+                "(the distances overflow the float range or are NaN)"
+            )
         raise ValueError("no cap-feasible center set exists for this dataset")
     return best_cost, tuple(pts[i].id for i in best_combo), evaluated
 
@@ -241,9 +246,13 @@ def test_block_oracle_never_prefers_a_nan_or_infinite_cost():
     pts = stream([(0.0, 1), (1.0, 2), (5.0, 1), (6.0, 2), (9.0, 1)])
     expected = assert_same_as_reference(pts, FairnessSpec((1, 1)), metric=metric)
     assert expected[1:] == (5.0, (2, 3), 11)
-    # when every subset scores NaN, no subset is ever better
+    # when every subset scores NaN, no subset is ever better, and the error
+    # names the non-finite costs: cap-feasible subsets do exist
     expected = assert_same_as_reference(pts[:2], FairnessSpec((1, 1)), metric=metric)
-    assert expected[2] == "no cap-feasible center set exists for this dataset"
+    assert expected[2] == (
+        "every cap-feasible center set has a non-finite cost "
+        "(the distances overflow the float range or are NaN)"
+    )
 
 
 def test_block_oracle_calls_the_metric_once_per_pair():

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from fairkcenter import (
+    EUCLIDEAN,
+    CenterSet,
     FairnessSpec,
     IndependentSet,
     InfeasibleReason,
+    SolveOutcome,
     StreamInstance,
     brute_force_opt,
     build_cross_graph,
@@ -284,3 +288,179 @@ def test_process_probe_on_a_hand_stream():
     assert inst.process(pt(1, 10.0, 2), probe_other=True) == 10.0  # only the other group is stored
     assert inst.process(pt(2, 7.0, 1)) is None
     assert inst.process(pt(3, 9.0, 1), probe_other=True) == 1.0  # the other group is nearer
+
+
+# ----------------------------------------------------------------------
+# equivalence with the graph-state cover
+# ----------------------------------------------------------------------
+class ReferenceGraph:
+    """The cross-group graph that carried the cover's state: the live vertex
+    set shrinks as the cover loop removes vertices, and degrees count live
+    neighbours only."""
+
+    def __init__(self, left, right, radius_guess, metric=EUCLIDEAN):
+        self.link_radius = 3.0 * float(radius_guess)
+        self.points = {p.id: p for p in list(left) + list(right)}
+        self.adj = {pid: set() for pid in self.points}
+        self.edges = set()
+        for p in left:
+            for q in right:
+                if metric(p, q) <= self.link_radius:
+                    self.adj[p.id].add(q.id)
+                    self.adj[q.id].add(p.id)
+                    self.edges.add((p.id, q.id))
+        self.live = set(self.points)
+        self.loop_trace = []
+
+    def degree(self, pid):
+        return len(self.adj[pid] & self.live)
+
+    def live_in_group(self, group):
+        return sorted(pid for pid in self.live if self.points[pid].group == group)
+
+
+def reference_cover(graph, spec, radius_guess, metric=EUCLIDEAN):
+    """The both-over cover as a loop over the graph's live state, with every
+    nearest distance a ``min`` over ``metric`` calls: the specification the
+    one-kernel cover must match."""
+    k = spec.k
+    near_radius = 2.0 * radius_guess
+    link_radius = graph.link_radius
+    chosen = []
+
+    def chosen_min_dist(p):
+        return min((metric(p, c) for c in chosen), default=math.inf)
+
+    def chosen_counts():
+        c1 = sum(1 for p in chosen if p.group == 1)
+        return c1, len(chosen) - c1
+
+    for pid in sorted(graph.live):
+        if graph.degree(pid) == 0:
+            p = graph.points[pid]
+            if chosen_min_dist(p) > near_radius:
+                chosen.append(p)
+    graph.live -= {pid for pid in graph.live if graph.degree(pid) == 0}
+
+    def try_early_exit():
+        counts = chosen_counts()
+        for group in (1, 2):
+            live_ids = graph.live_in_group(group)
+            if counts[group - 1] + len(live_ids) <= spec.caps[group - 1]:
+                base = list(chosen)
+                base.extend(graph.points[pid] for pid in live_ids)
+                extra = [
+                    graph.points[pid]
+                    for pid in graph.live_in_group(3 - group)
+                    if min((metric(graph.points[pid], c) for c in base), default=math.inf) > link_radius
+                ]
+                return base + extra
+        return None
+
+    final = try_early_exit()
+    initial_live = len(graph.live)
+    iterations = 0
+    while final is None and len(chosen) <= k and graph.live:
+        iterations += 1
+        if iterations > initial_live:
+            raise AssertionError("cover loop failed to shrink the live vertex set")
+        c1, c2 = chosen_counts()
+        live1, live2 = len(graph.live_in_group(1)), len(graph.live_in_group(2))
+        graph.loop_trace.append((len(chosen), c1, c2, live1, live2))
+        degree_one = [pid for pid in graph.live if graph.degree(pid) == 1]
+        if not degree_one:
+            left_id = min(pid for pid in graph.live if graph.points[pid].group == 1 and graph.degree(pid) > 0)
+            right_id = min(graph.adj[left_id] & graph.live)
+            pick = left_id if spec.caps[0] - c1 >= spec.caps[1] - c2 else right_id
+            chosen.append(graph.points[pick])
+            removed = {left_id, right_id}
+        else:
+            best_id = -1
+            best_leaves = set()
+            for pid in sorted(graph.live):
+                leaves = {q for q in graph.adj[pid] & graph.live if graph.degree(q) == 1}
+                if best_id < 0 or len(leaves) > len(best_leaves):
+                    best_id, best_leaves = pid, leaves
+            chosen.append(graph.points[best_id])
+            removed = {best_id} | best_leaves
+        graph.live -= removed
+        for rid in removed:
+            for w in graph.adj[rid] & graph.live:
+                if graph.degree(w) == 0:
+                    raise AssertionError("vertex removal created an isolated live vertex")
+        final = try_early_exit()
+
+    if final is None:
+        if graph.live:
+            return SolveOutcome.infeasible(InfeasibleReason.SELECTION_EXHAUSTED)
+        final = chosen
+    centers = CenterSet(tuple(final))
+    if check_fairness(centers, spec):
+        return SolveOutcome.infeasible(InfeasibleReason.SELECTION_EXHAUSTED)
+    return SolveOutcome.ok(centers)
+
+
+def cover_record(out, graph):
+    """Feasibility, reason, center ids in order, and the cover loop's trace."""
+    return (out.feasible, out.reason, out.centers.ids() if out.feasible else None, graph.loop_trace)
+
+
+def assert_cover_matches_reference(g1, g2, spec, radius_guess, graph, out):
+    """``out`` is the cover's outcome on ``graph``, built from ``g1`` and ``g2``."""
+    reference = ReferenceGraph(g1.members, g2.members, radius_guess)
+    want = cover_record(reference_cover(reference, spec, radius_guess), reference)
+    assert graph.edges == reference.edges
+    assert cover_record(out, graph) == want
+    return want
+
+
+def random_guess(rng, low, high):
+    """Half the draws are halves of integers, so on the integer grid both the
+    cover's 2x and 3x radii land exactly on distances now and then."""
+    if rng.random() < 0.5:
+        return float(rng.integers(math.ceil(2 * low), math.floor(2 * high) + 1)) / 2.0
+    return float(rng.uniform(low, high))
+
+
+def test_cover_matches_the_graph_state_reference_on_stream_finalizes():
+    # 500 both-over finalizes at random guesses, each compared with the
+    # reference cover on the instance's own representative sets
+    rng = np.random.default_rng(7011)
+    compared = looped = 0
+    for _ in range(20000):
+        points, spec = random_two_group_instance(rng)
+        guess = random_guess(rng, 0.2, 4.0)
+        inst = StreamInstance(guess, spec)
+        for p in points:
+            inst.process(p)
+            if inst.overflowed:
+                break
+        out = inst.finalize()
+        if inst.path != "both-over":
+            continue
+        record = assert_cover_matches_reference(inst.reps1, inst.reps2, spec, guess, inst.last_graph, out)
+        looped += bool(record[-1])
+        compared += 1
+        if compared == 500:
+            break
+    assert compared == 500 and looped >= 400
+
+
+def test_cover_matches_the_graph_state_reference_when_the_threshold_disagrees():
+    # sets built at one threshold, covered at an unrelated guess: the cover
+    # sees graphs its own stream would never hand it
+    rng = np.random.default_rng(7012)
+    kinds = set()
+    for _ in range(500):
+        points, spec = random_two_group_instance(rng)
+        threshold = float(rng.uniform(0.5, 8.0))
+        sets = {g: IndependentSet(threshold, group_filter=g) for g in (1, 2)}
+        for p in points:
+            sets[p.group].offer(p)
+        guess = random_guess(rng, 0.1, 4.0)
+        graph = build_cross_graph(sets[1], sets[2], guess)
+        out = select_with_both_groups_over(graph, spec, guess)
+        record = assert_cover_matches_reference(sets[1], sets[2], spec, guess, graph, out)
+        kinds.add((record[0], bool(record[-1])))
+    # feasible and infeasible outcomes, with and without the loop running
+    assert {(True, True), (True, False), (False, True), (False, False)} <= kinds
