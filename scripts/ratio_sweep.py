@@ -49,7 +49,7 @@ def sweep(sizes, runs_per_size, k, epsilon, dim, base_seed):
                         "caps": list(spec.caps),
                         "ratio": cost / planted.planted_r,
                         "chosen_guess": result.best_guess,
-                        "pruned_guesses": result.discarded,
+                        "pruned_guesses": len(ladder.pruned),
                         "caps_respected": not check_fairness(result.centers, spec),
                         "runtime_s": elapsed,
                     }

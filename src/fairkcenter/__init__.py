@@ -19,11 +19,9 @@ from .core import (
     distance,
 )
 from .independent import IndependentSet, OfferStatus
-from .ladder import Ladder, LadderResult, run_known
+from .ladder import Ladder, run_known
 from .oracle import (
     GenerationError,
-    OracleResult,
-    PlantedDataset,
     SizeGuardError,
     brute_force_opt,
     candidate_radii,
@@ -50,10 +48,7 @@ __all__ = [
     "IndependentSet",
     "InfeasibleReason",
     "Ladder",
-    "LadderResult",
     "OfferStatus",
-    "OracleResult",
-    "PlantedDataset",
     "Point",
     "SemiInstance",
     "SizeGuardError",

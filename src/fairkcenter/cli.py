@@ -127,8 +127,6 @@ def _spec_and_metric(args: argparse.Namespace) -> tuple[FairnessSpec, DistanceMe
     spec = FairnessSpec(tuple(int(c) for c in str(args.caps).split(",") if c.strip() != ""))
     if args.k is not None and args.k != spec.k:
         raise ValueError(f"--k {args.k} does not match the cap sum {spec.k}")
-    if args.metric != "euclidean":
-        raise ValueError(f"unknown metric {args.metric!r}")
     return spec, EUCLIDEAN
 
 

@@ -11,8 +11,8 @@ be pairwise separated by more than that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import EUCLIDEAN, Coords, DistanceMetric, Point, RunStats
 
@@ -23,11 +23,9 @@ class OfferStatus(Enum):
     OVERFLOW = "overflow"
 
 
-@dataclass(frozen=True)
-class OfferResult:
+class OfferResult(NamedTuple):
     status: OfferStatus
-    covered_by: Point | None
-    min_dist: float
+    min_dist: float  # to the nearest stored point before the offer; inf when empty
 
 
 class IndependentSet:
@@ -85,13 +83,10 @@ class IndependentSet:
         if idx >= 0 and d <= self.threshold:
             # a point at exactly the threshold stays covered; only a real
             # nearest point can cover, even under an infinite threshold
-            return OfferResult(OfferStatus.COVERED, self.members[idx], d)
+            return OfferResult(OfferStatus.COVERED, d)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
-            return OfferResult(OfferStatus.OVERFLOW, None, d)
-        self._append(p)
-        return OfferResult(OfferStatus.ADDED, None, d)
-
-    def _append(self, p: Point) -> None:
+            return OfferResult(OfferStatus.OVERFLOW, d)
         self._coords.append(p.coords)
         self.members.append(p)
+        return OfferResult(OfferStatus.ADDED, d)

@@ -59,7 +59,6 @@ class LadderResult:
 
     best_guess: float
     centers: CenterSet
-    discarded: int
 
 
 class Ladder:
@@ -123,12 +122,16 @@ class Ladder:
 
     def _spawn_initial_grid(self) -> None:
         """Grid from the smallest positive buffer gap up to a guess whose
-        covering threshold spans the whole buffer; every instance replays the
-        full buffer, so none of them carries any seeding slack."""
+        covering threshold spans the whole buffer, or up to the last guess
+        whose radii stay finite; every instance replays the full buffer, so
+        none of them carries any seeding slack."""
         low = self._buffer_min_gap
         grid = [low]
         while 2.0 * grid[-1] < self._buffer_diameter:
-            grid.append(self._next_guess(grid[-1]))
+            step = self._next_guess(grid[-1])
+            if 3.0 * step == math.inf:
+                break  # a rung there raises OverflowError, so only extension may reach it
+            grid.append(step)
         for guess in grid:
             self._spawn(guess, self.buffer)
         self.bootstrapping = False
@@ -164,8 +167,8 @@ class Ladder:
     def _spawn(self, guess: float, replay: list[Point]) -> SolverInstance | None:
         """Add a rung at ``guess`` seeded by replaying ``replay``; a rung the
         replay overflows is retired at once and None is returned."""
-        self.guesses.append(guess)
         inst = make_instance(self.mode, guess, self.spec, self.metric, self.stats)
+        self.guesses.append(guess)
         for p in replay:
             inst.process(p)
             if inst.overflowed:
@@ -226,7 +229,7 @@ class Ladder:
         for guess, inst in self.instances.items():
             outcome = inst.finalize()
             if outcome.feasible:
-                return LadderResult(guess, outcome.centers, len(self.pruned))
+                return LadderResult(guess, outcome.centers)
         # no grid guess worked; push the grid upward from the top rung's stored
         # set until a guess succeeds or the caps are provably unsatisfiable
         seed = list(next(reversed(self.instances.values())).stored_order)
@@ -235,7 +238,7 @@ class Ladder:
             inst = self._extend_grid(seed, pending=None)
             outcome = inst.finalize()
             if outcome.feasible:
-                return LadderResult(self.guesses[-1], outcome.centers, len(self.pruned))
+                return LadderResult(self.guesses[-1], outcome.centers)
             if self.guesses[-1] >= diameter:
                 raise RuntimeError(_UNSERVABLE)
 
@@ -244,7 +247,7 @@ class Ladder:
         # radius zero, provided its group has a positive cap
         for p in self.buffer:
             if self.spec.cap(p.group) >= 1:
-                return LadderResult(0.0, CenterSet((p,)), len(self.pruned))
+                return LadderResult(0.0, CenterSet((p,)))
         raise RuntimeError("no observed group has a positive cap")
 
     # ------------------------------------------------------------------

@@ -66,6 +66,10 @@ class SolverInstance:
             raise ValueError("this solver handles exactly two groups")
         if not 0.0 <= radius_guess < math.inf:
             raise ValueError(f"radius guess must be finite and nonnegative, got {radius_guess}")
+        if 3.0 * radius_guess == math.inf:
+            # three guesses is the largest radius any path compares against:
+            # the link radius, the one-over filter and semi's 1.5x threshold
+            raise OverflowError(f"three times the radius guess {radius_guess!r} overflowed the float range")
         self.radius_guess = float(radius_guess)
         self.threshold = 2.0 * self.radius_guess
         self.spec = spec
@@ -186,11 +190,7 @@ class CrossGroupGraph:
     link_radius: float
     points: dict[int, Point]
     adj: dict[int, set[int]]
-    edges: set[tuple[int, int]]
     loop_trace: list[tuple[int, int, int, int, int]] = field(default_factory=list)
-
-    def degree(self, pid: int) -> int:
-        return len(self.adj[pid])
 
 
 def build_cross_graph(
@@ -205,14 +205,12 @@ def build_cross_graph(
     if len(points) != len(g1) + len(g2):
         raise ValueError("duplicate point ids across the two sides")
     adj: dict[int, set[int]] = {pid: set() for pid in points}
-    edges: set[tuple[int, int]] = set()
     for p in g1.members:
         for q in g2.members:
             if metric(p, q) <= link_radius:
                 adj[p.id].add(q.id)
                 adj[q.id].add(p.id)
-                edges.add((p.id, q.id))
-    return CrossGroupGraph(link_radius, points, adj, edges)
+    return CrossGroupGraph(link_radius, points, adj)
 
 
 def select_with_both_groups_over(

@@ -133,7 +133,7 @@ def test_solve_mode_on_planted_csv(tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
     rc = main(["solve", "--input", csv_path, "--caps", "2,2", "--out", out_path])
     assert rc == 0
-    report = json.loads(open(out_path).read())
+    report = json.loads(Path(out_path).read_text(encoding="utf-8"))
     assert report["cost"] <= 5.0 * 1.1 * 1.0 + 1e-9
     assert report["per_group_counts"][0] <= 2 and report["per_group_counts"][1] <= 2
     assert report["instances"]["spawned"] >= report["instances"]["live"]
@@ -205,7 +205,7 @@ def test_reports_are_byte_identical_modulo_wall_time(tmp_path):
     for i in range(2):
         out_path = str(tmp_path / f"report{i}.json")
         assert main(["solve", "--input", csv_path, "--caps", "2,2", "--seed", "3", "--out", out_path]) == 0
-        text = open(out_path).read()
+        text = Path(out_path).read_text(encoding="utf-8")
         reports.append(re.sub(r'"wall_time_s": [^,}\n]+', '"wall_time_s": _', text))
     assert reports[0] == reports[1]
 
@@ -315,6 +315,31 @@ def test_an_overflowing_cost_is_reported_as_an_overflow(tmp_path, capsys, mode):
     # distance to -1e308 overflows, so the replayed cost is inf
     path = write(tmp_path, "huge.csv", "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n")
     rc = main([mode, "--input", path, "--caps", "1,0"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "OverflowError"
+    assert "overflowed the float range" in payload["error"]["message"]
+
+
+HUGE_CSV = "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "--caps", "1,0", "--no-replay"], HUGE_CSV),
+        (["semi", "--caps", "1,0", "--no-replay"], "x,group\n1e308,1\n0,1\n-1e308,2\n5,2\n"),
+        (["known", "--caps", "1,0", "--radius", "1e308", "--no-replay"], HUGE_CSV),
+    ],
+    ids=["solve", "semi", "known"],
+)
+def test_a_rung_whose_radii_overflow_is_an_error(tmp_path, capsys, argv, text):
+    # the bootstrap gap (or the fixed guess) is 1e308, so three guesses, the
+    # largest radius any selection path compares against, are inf: no rung
+    # may stand there, with or without the cost replay
+    path = write(tmp_path, "huge.csv", text)
+    rc = main([argv[0], "--input", path, *argv[1:]])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "fairkcenter-error/1"

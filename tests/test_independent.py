@@ -25,9 +25,10 @@ def test_first_offer_is_added():
 def test_offer_within_threshold_is_covered():
     s = IndependentSet(2.0)
     s.offer(pt(0, 0.0))
+    _, covering = s.nearest(pt(1, 1.0))
     res = s.offer(pt(1, 1.0))
     assert res.status is OfferStatus.COVERED
-    assert res.covered_by.id == 0
+    assert covering.id == 0
     assert res.min_dist == 1.0
 
 
@@ -154,7 +155,7 @@ def test_custom_metric_matches_euclidean_decisions(rng):
 # ----------------------------------------------------------------------
 def reference_offers(points, threshold):
     """Offer decisions of a plain ``math.dist`` loop with the first strict
-    minimum: (status, covered_by id, min_dist) per offered point."""
+    minimum: (status, covering point's id, min_dist) per offered point."""
     stored = []
     decisions = []
     for p in points:
@@ -197,8 +198,9 @@ def test_threshold_ties_decide_as_math_dist_at_every_set_size(dim):
     s = IndependentSet(threshold)
     got = []
     for p in offered:
+        _, nearest = s.nearest(p)  # the covering point, read before the offer
         res = s.offer(p)
-        got.append((res.status, res.covered_by.id if res.covered_by else None, res.min_dist))
+        got.append((res.status, nearest.id if res.status is OfferStatus.COVERED else None, res.min_dist))
     assert len(s) >= 64
     assert got == reference_offers(offered, threshold)
 

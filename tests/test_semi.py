@@ -180,6 +180,17 @@ def test_update_cost_stays_within_budget(rng):
         assert inst.stats.update_excess <= 0
 
 
+def test_update_time_monitor_catches_a_second_scan():
+    inst = SemiInstance(1.0, FairnessSpec((1, 2)))  # threshold 2; group 1 fits, so the gate is 3
+    fed(inst, stream([(0.0, 1), (10.0, 2), (20.0, 2)]))
+    assert inst.stats.update_excess == 0
+    once = inst.reps2.min_dist
+    inst.reps2.min_dist = lambda p: min(once(p), once(p))  # scans group 2 twice
+    # not offered (2.5 <= 3), so the probe scans reps2 on its own
+    inst.process(pt(3, 2.5, 2), probe_other=True)
+    assert inst.stats.update_excess == len(inst.reps2) == 2
+
+
 # ----------------------------------------------------------------------
 # what process returns (the ladder extends its grid on it)
 # ----------------------------------------------------------------------

@@ -122,12 +122,17 @@ def test_one_group_over_underselling_guess_is_infeasible():
 # ----------------------------------------------------------------------
 # cross-group graph
 # ----------------------------------------------------------------------
+def graph_edges(graph):
+    """The graph's (group-1 id, group-2 id) edges, read off its adjacency."""
+    return {(a, b) for a, nbrs in graph.adj.items() if graph.points[a].group == 1 for b in nbrs}
+
+
 def test_graph_edges_at_link_radius():
     g1 = filled_set(1.0, [0.0, 100.0], group=1)
     g2 = filled_set(1.0, [0.5, 100.5], group=2)
     graph = build_cross_graph(g1, g2, 0.5)
     coords = {pid: p.coords[0] for pid, p in graph.points.items()}
-    edges = {(coords[a], coords[b]) for a, b in graph.edges}
+    edges = {(coords[a], coords[b]) for a, b in graph_edges(graph)}
     assert edges == {(0.0, 0.5), (100.0, 100.5)}
 
 
@@ -135,7 +140,7 @@ def test_graph_edgeless_when_groups_are_far():
     g1 = filled_set(1.0, [0.0], group=1)
     g2 = filled_set(1.0, [100.0], group=2)
     graph = build_cross_graph(g1, g2, 0.5)
-    assert graph.edges == set()
+    assert graph_edges(graph) == set()
 
 
 def test_graph_degree_counts_all_links():
@@ -143,7 +148,7 @@ def test_graph_degree_counts_all_links():
     g2 = filled_set(0.1, [1.0, 1.4], group=2)
     graph = build_cross_graph(g1, g2, 0.5)  # link radius 1.5 reaches both
     left_id = g1.members[0].id
-    assert graph.degree(left_id) == 2
+    assert len(graph.adj[left_id]) == 2
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +190,7 @@ def test_both_over_edge_branch_runs_without_degree_one_vertices():
     g1 = filled_set(1.0, [0.0, 1.1], group=1)
     g2 = filled_set(1.0, [0.4, 1.5], group=2)
     graph = build_cross_graph(g1, g2, 0.5)
-    assert all(graph.degree(pid) == 2 for pid in graph.points)
+    assert all(len(graph.adj[pid]) == 2 for pid in graph.points)
     out = select_with_both_groups_over(graph, FairnessSpec((1, 1)), 0.5)
     assert out.feasible
     assert sorted(p.coords[0] for p in out.centers) == [0.0, 1.5]
@@ -223,6 +228,17 @@ def test_update_cost_stays_within_stored_size():
     for p in stream([(0.0, 1), (100.0, 1), (1.0, 2), (2.0, 2), (50.0, 2)]):
         inst.process(p, probe_other=True)
     assert inst.stats.update_excess <= 0
+
+
+def test_update_time_monitor_catches_a_second_scan():
+    inst = StreamInstance(1.0, SPEC_12)  # threshold 2
+    for p in stream([(0.0, 1), (10.0, 2), (20.0, 2)]):
+        inst.process(p, probe_other=True)
+    assert inst.stats.update_excess == 0
+    once = inst.reps2.min_dist
+    inst.reps2.min_dist = lambda p: min(once(p), once(p))  # scans the other group twice
+    inst.process(pt(3, 0.5, 1), probe_other=True)  # covered by reps1, then probes reps2
+    assert inst.stats.update_excess == len(inst.reps2) == 2
 
 
 def test_finalize_is_one_shot():
@@ -409,7 +425,7 @@ def assert_cover_matches_reference(g1, g2, spec, radius_guess, graph, out):
     """``out`` is the cover's outcome on ``graph``, built from ``g1`` and ``g2``."""
     reference = ReferenceGraph(g1.members, g2.members, radius_guess)
     want = cover_record(reference_cover(reference, spec, radius_guess), reference)
-    assert graph.edges == reference.edges
+    assert graph_edges(graph) == reference.edges
     assert cover_record(out, graph) == want
     return want
 
