@@ -93,6 +93,18 @@ def distance(p: Point, q: Point, metric: DistanceMetric = EUCLIDEAN) -> float:
     return metric(p, q)
 
 
+def _whole_cap(cap) -> int:
+    """``cap`` as an int; a cap that is not a whole number is refused, never
+    truncated."""
+    try:
+        whole = int(cap)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != cap:
+        raise ValueError(f"cap {cap!r} is not a whole number")
+    return whole
+
+
 @dataclass(frozen=True)
 class FairnessSpec:
     """Per-group caps on how many centers may be chosen; the total budget
@@ -101,7 +113,7 @@ class FairnessSpec:
     caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "caps", tuple(int(c) for c in self.caps))
+        object.__setattr__(self, "caps", tuple(map(_whole_cap, self.caps)))
         if not self.caps:
             raise ValueError("at least one group is required")
         if any(c < 0 for c in self.caps):

@@ -57,32 +57,39 @@ class IndependentSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def _scan(self, p: Point) -> tuple[float, int]:
+    def scan(self, p: Point) -> tuple[float, int]:
         """Nearest stored point: (distance, index), (inf, -1) when empty, by
         ``metric.nearest`` over the stored coordinates; its one evaluation
         per stored point is counted in ``stats``."""
         self.stats.distance_evals += len(self._coords)
         return self.metric.nearest(p, self._coords)
 
+    def covers(self, d: float, idx: int) -> bool:
+        """Whether a ``scan`` result covers its point: a point at exactly the
+        threshold stays covered, and only a real nearest point can cover,
+        even under an infinite threshold."""
+        return idx >= 0 and d <= self.threshold
+
     def min_dist(self, p: Point) -> float:
         """Distance from ``p`` to the nearest stored point; inf when empty."""
-        return self._scan(p)[0]
+        return self.scan(p)[0]
 
     def nearest(self, p: Point) -> tuple[float, Point | None]:
         """Nearest stored point and the distance to it; (inf, None) when
         empty. Same evaluation cost as ``min_dist``."""
-        d, idx = self._scan(p)
+        d, idx = self.scan(p)
         return d, (self.members[idx] if idx >= 0 else None)
 
-    def offer(self, p: Point) -> OfferResult:
+    def offer(self, p: Point, scan: tuple[float, int] | None = None) -> OfferResult:
+        """Cover, store or refuse ``p``. ``scan`` is the caller's own ``scan(p)``
+        of this set, taken since its last change, so the point is not
+        scanned twice."""
         if self.overflowed:
             raise RuntimeError("offer to an overflowed set")
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
-        d, idx = self._scan(p)
-        if idx >= 0 and d <= self.threshold:
-            # a point at exactly the threshold stays covered; only a real
-            # nearest point can cover, even under an infinite threshold
+        d, idx = self.scan(p) if scan is None else scan
+        if self.covers(d, idx):
             return OfferResult(OfferStatus.COVERED, d)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True

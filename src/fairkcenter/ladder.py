@@ -142,14 +142,34 @@ class Ladder:
             self._extend_grid(seed, pending=None)
 
     def _dispatch(self, point: Point) -> None:
+        """Feed the point to every live rung, the top one last.
+
+        A general rung below the top changes only when its own-group set does
+        not cover the point: then the point is stored or overflows the set.
+        So each such rung scans that one set, the scan ``process`` starts
+        with, and ``process`` runs on that scan only for an event; a covered
+        rung's update is that one scan, within its budget. Semi rungs, and a
+        point outside groups 1 and 2 (which the first rung's ``process``
+        refuses), take the full ``process``."""
         live = list(self.instances.items())
-        top = live[-1][1]
+        top_guess, top = live.pop()
+        events_only = self.mode == "general" and point.group in (1, 2)
         for guess, inst in live:
-            # the top rung comes last, so its nearest distance is the one kept
-            nearest_all = inst.process(point, probe_other=inst is top)
+            if events_only:
+                own = inst.reps[point.group]
+                scan = own.scan(point)
+                if own.covers(*scan):
+                    continue
+                inst.process(point, scan=scan)
+            else:
+                inst.process(point)
             if inst.overflowed:
                 self._retire(guess, self.instances.pop(guess))
+        # the top rung also probes the other group: the grid-extension test
+        # needs the nearest stored distance over both
+        nearest_all = top.process(point, probe_other=True)
         if top.overflowed:
+            self._retire(top_guess, self.instances.pop(top_guess))
             # the top guess just proved too small: its successor replays what
             # it stored and then sees the point that broke it
             self._extend_grid(list(top.stored_order), pending=point)

@@ -102,11 +102,15 @@ class StreamInstance(SolverInstance):
 
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
 
-    def process(self, point: Point, probe_other: bool = False) -> float | None:
+    def process(
+        self, point: Point, probe_other: bool = False, scan: tuple[float, int] | None = None,
+    ) -> float | None:
         """Route the point to its group's set. With ``probe_other`` the other
         group's set is scanned too, so the total work stays at one evaluation
         per currently stored point, and the nearest stored distance over both
-        groups is returned; without it, or after an overflow, None is."""
+        groups is returned; without it, or after an overflow, None is.
+        ``scan`` is the caller's ``scan`` of the point's own-group set, whose
+        evaluations count toward this update."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
@@ -116,8 +120,8 @@ class StreamInstance(SolverInstance):
         own, other = self.reps[point.group], self.reps[3 - point.group]
         budget = len(own) + len(other)
         stats = self.stats
-        evals_before = stats.distance_evals
-        res = own.offer(point)
+        evals_before = stats.distance_evals - (0 if scan is None else len(own))
+        res = own.offer(point, scan)
         nearest_all: float | None = None
         if res.status is OfferStatus.OVERFLOW:
             self.overflowed = True

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -171,6 +173,18 @@ def test_fairness_spec_validation():
         FairnessSpec((0, 0))
     spec = FairnessSpec((1, 2))
     assert (spec.m, spec.k, spec.cap(1), spec.cap(2)) == (2, 3, 1, 2)
+
+
+@pytest.mark.parametrize("cap", [2.5, 0.9, math.nan, math.inf, "2"])
+def test_fairness_spec_refuses_a_cap_that_is_not_a_whole_number(cap):
+    with pytest.raises(ValueError, match=rf"^cap {re.escape(repr(cap))} is not a whole number$"):
+        FairnessSpec((cap, 1))
+
+
+def test_fairness_spec_takes_whole_number_floats_and_numpy_integers():
+    spec = FairnessSpec((2.0, np.int64(3)))
+    assert spec.caps == (2, 3) and all(type(c) is int for c in spec.caps)
+    assert FairnessSpec((np.float64(1.0), np.int32(0))).caps == (1, 0)
 
 
 def test_center_set_rejects_duplicate_ids():

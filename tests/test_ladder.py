@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fairkcenter import (
@@ -14,6 +15,7 @@ from fairkcenter import (
     generate_planted,
     run_known,
 )
+from fairkcenter.independent import IndependentSet
 from fairkcenter.ladder import make_instance
 
 from conftest import pt, stream
@@ -250,6 +252,7 @@ def test_observe_after_finish_raises():
         ladder.observe(pt(1, 1.0, 1))
 
 
+@pytest.mark.filterwarnings("default::UserWarning")
 def test_feasibility_is_empirically_monotone_in_the_guess(rng):
     # larger guesses should stay feasible once a smaller one is; the cover
     # loop's heuristic choices leave this unproven, so a counterexample is
@@ -334,3 +337,106 @@ def test_a_subnormal_buffer_gap_still_grows_the_grid(mode):
     assert check_fairness(result.centers, spec) == []
     assert clustering_cost(points, result.centers) <= 5.0 * 1.1 * 10.0
     assert ladder.spawned_count <= ladder.grid_bound
+
+
+# ----------------------------------------------------------------------
+# event dispatch against the every-rung reference
+# ----------------------------------------------------------------------
+class ReferenceLadder(Ladder):
+    """The dispatch loop before event dispatch: every live rung runs the full
+    ``process`` on every point."""
+
+    def _dispatch(self, point):
+        live = list(self.instances.items())
+        top = live[-1][1]
+        for guess, inst in live:
+            # the top rung comes last, so its nearest distance is the one kept
+            nearest_all = inst.process(point, probe_other=inst is top)
+            if inst.overflowed:
+                self._retire(guess, self.instances.pop(guess))
+        if top.overflowed:
+            self._extend_grid(list(top.stored_order), pending=point)
+        elif nearest_all > top.threshold:
+            self._extend_grid(list(top.stored_order), pending=None)
+
+
+def _ladder_state(ladder, result):
+    return (
+        result.best_guess.hex(),
+        result.centers.ids(),
+        ladder.total_distance_evals,
+        ladder.total_stored_peak,
+        ladder.per_instance_stored_peak,
+        ladder.worst_update_excess,
+        ladder.spawned_count,
+        list(ladder.pruned),
+        list(ladder.instances),
+        [[p.id for p in inst.stored_order] for inst in ladder.instances.values()],
+    )
+
+
+def _random_general_stream(rng):
+    """Integer coordinates on a small grid, so duplicates and exact threshold
+    ties occur (at epsilon 1 every guess is the lowest one times a power of
+    two), with a few far points that push the stream past the top guess."""
+    n = int(rng.integers(8, 60))
+    dim = int(rng.integers(1, 3))
+    points = []
+    for i in range(n):
+        coords = rng.integers(0, 9, size=dim).astype(float)
+        if i > 6 and rng.random() < 0.08:
+            coords = coords + 30.0 * i
+        points.append(Point(i, tuple(coords), int(rng.integers(1, 3))))
+    caps = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)][int(rng.integers(0, 5))]
+    epsilon = [0.1, 1.0][int(rng.integers(0, 2))]
+    return points, FairnessSpec(caps), epsilon
+
+
+def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
+    covers = IndependentSet.covers
+    ties = []
+
+    def counting_covers(self, d, idx):
+        if idx >= 0 and d == self.threshold:
+            ties.append(d)
+        return covers(self, d, idx)
+
+    rng = np.random.default_rng(2026)
+    extended = pruned_mid_stream = 0
+    for case in range(150):
+        points, spec, epsilon = _random_general_stream(rng)
+        ladder, reference = Ladder(spec, epsilon=epsilon), ReferenceLadder(spec, epsilon=epsilon)
+        with monkeypatch.context() as patch:
+            patch.setattr(IndependentSet, "covers", counting_covers)
+            for p in points:
+                before = (ladder.bootstrapping, ladder.spawned_count, len(ladder.pruned))
+                ladder.observe(p)
+                if not before[0]:
+                    extended += ladder.spawned_count > before[1]
+                    pruned_mid_stream += len(ladder.pruned) > before[2]
+        for p in points:
+            reference.observe(p)
+        assert _ladder_state(ladder, ladder.finish()) == _ladder_state(reference, reference.finish()), case
+    # the streams reach every path the event dispatch must agree on
+    assert ties and extended and pruned_mid_stream
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(pt(99, 1.0, 3), "expects groups 1 and 2"), (pt(99, (1.0, 2.0), 1), "dimension mismatch")],
+)
+def test_event_dispatch_refuses_a_bad_point_like_the_reference(bad, message):
+    spec = FairnessSpec((1, 1))
+    errors = []
+    for cls in (Ladder, ReferenceLadder):
+        ladder = cls(spec)
+        for p in stream([(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1)]):
+            ladder.observe(p)
+        # rungs below the top hold group-1 points, so the point meets a
+        # scan before the top rung's process
+        assert len(ladder.instances) > 1
+        assert all(len(inst.reps1) for inst in ladder.instances.values())
+        with pytest.raises(ValueError, match=message) as info:
+            ladder.observe(bad)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]

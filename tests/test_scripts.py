@@ -1,5 +1,6 @@
 """The experiment scripts still run against the package, at small sizes."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,13 @@ def test_script_exits_zero(argv, marker):
     )
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout
+
+
+def test_ladder_fingerprint_repeats_exactly():
+    argv = [sys.executable, str(SCRIPTS / "ladder_fingerprint.py"), "--n", "300", "--pool", "2", "--seeds", "1"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = runs[0].stdout.splitlines()
+    assert [json.loads(line)["workload"] for line in lines] == ["planted-general"] * 2 + ["planted-semi"] * 2
+    assert runs[1].stdout == runs[0].stdout
