@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Iterable, Iterator, TextIO
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, check_fairness, clustering_cost
+from .core import CenterSet, FairnessSpec, Point, check_fairness, clustering_cost
 from .ladder import Ladder, make_instance
 from .oracle import SizeGuardError, brute_force_opt, generate_planted, gonzalez
 
@@ -122,12 +122,12 @@ class PointReader:
             next_id += 1
 
 
-def _spec_and_metric(args: argparse.Namespace) -> tuple[FairnessSpec, DistanceMetric]:
-    """The caps, checked against ``--k``, and the distance metric."""
+def _spec(args: argparse.Namespace) -> FairnessSpec:
+    """The caps, checked against ``--k``."""
     spec = FairnessSpec(tuple(int(c) for c in str(args.caps).split(",") if c.strip() != ""))
     if args.k is not None and args.k != spec.k:
         raise ValueError(f"--k {args.k} does not match the cap sum {spec.k}")
-    return spec, EUCLIDEAN
+    return spec
 
 
 def _open_input(args: argparse.Namespace) -> TextIO:
@@ -162,9 +162,9 @@ def _report(
     }
 
 
-def _finite_cost(points: Iterable[Point], centers: CenterSet, metric: DistanceMetric) -> float:
+def _finite_cost(points: Iterable[Point], centers: CenterSet) -> float:
     """The clustering cost; reports hold finite numbers, so an overflow is an error."""
-    cost = clustering_cost(points, centers, metric)
+    cost = clustering_cost(points, centers)
     if not math.isfinite(cost):
         raise OverflowError(f"the clustering cost overflowed the float range ({cost})")
     return cost
@@ -173,12 +173,12 @@ def _finite_cost(points: Iterable[Point], centers: CenterSet, metric: DistanceMe
 def _run_stream(args: argparse.Namespace) -> dict:
     """solve, semi and known: one pass over the input into a radius ladder,
     or into one solver instance at the fixed ``--radius``."""
-    spec, metric = _spec_and_metric(args)
+    spec = _spec(args)
     known = args.mode == "known"
     if known:
-        inst = make_instance(args.solver, args.radius, spec, metric)
+        inst = make_instance(args.solver, args.radius, spec)
     else:
-        ladder = Ladder(spec, metric, epsilon=args.epsilon, mode=args.solver)
+        ladder = Ladder(spec, epsilon=args.epsilon, mode=args.solver)
     started = time.perf_counter()
     with _open_input(args) as handle:
         reader = PointReader(
@@ -228,16 +228,16 @@ def _run_stream(args: argparse.Namespace) -> dict:
     if args.input != "-" and not args.no_replay:
         with _open_input(args) as handle:
             reader = PointReader(handle, args.group_col, max_groups=spec.m)
-            report["cost"] = _finite_cost(reader, centers, metric)
+            report["cost"] = _finite_cost(reader, centers)
     report["wall_time_s"] = elapsed
     return report
 
 
 def _run_oracle(args: argparse.Namespace) -> dict:
-    spec, metric = _spec_and_metric(args)
+    spec = _spec(args)
     started = time.perf_counter()
     points, labels = _read_all(args, spec)
-    result = brute_force_opt(points, spec, metric)
+    result = brute_force_opt(points, spec)
     elapsed = time.perf_counter() - started
     head = {"mode": "oracle", "r_opt": result.r_opt}
     report = _report(args, spec, labels, head, result.centers, {"subsets_evaluated": result.evaluated})
@@ -248,7 +248,7 @@ def _run_oracle(args: argparse.Namespace) -> dict:
 def _run_gen(args: argparse.Namespace) -> dict:
     if args.out is None:
         raise ValueError("gen mode requires --out (the CSV path to write)")
-    spec, _ = _spec_and_metric(args)
+    spec = _spec(args)
     planted = generate_planted(
         spec,
         args.n,
@@ -282,7 +282,7 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
     """Solvers plus baselines on one dataset: one JSON row per algorithm with
     cost, runtime, and the cost ratio against the exhaustive optimum when the
     instance is small enough to enumerate."""
-    spec, metric = _spec_and_metric(args)
+    spec = _spec(args)
     points, labels = _read_all(args, spec)
     if not points:
         raise ValueError("empty input file")
@@ -292,7 +292,7 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
 
     try:
         started = time.perf_counter()
-        oracle_result = brute_force_opt(points, spec, metric)
+        oracle_result = brute_force_opt(points, spec)
         r_opt = oracle_result.r_opt
         rows.append(
             {
@@ -308,7 +308,7 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
         pass
 
     def add_row(name: str, centers: CenterSet, runtime: float) -> None:
-        cost = _finite_cost(points, centers, metric)
+        cost = _finite_cost(points, centers)
         ratio = (cost / r_opt) if (r_opt is not None and r_opt > 0) else None
         rows.append(
             {
@@ -325,14 +325,14 @@ def _run_bench(args: argparse.Namespace) -> list[dict]:
     # the group-sorted solver only runs on input it accepts
     for mode in ("general", "semi") if group_sorted else ("general",):
         started = time.perf_counter()
-        ladder = Ladder(spec, metric, epsilon=args.epsilon, mode=mode)
+        ladder = Ladder(spec, epsilon=args.epsilon, mode=mode)
         for p in points:
             ladder.observe(p)
         result = ladder.finish()
         add_row(f"ladder-{mode}", result.centers, time.perf_counter() - started)
 
     started = time.perf_counter()
-    baseline = gonzalez(points, spec.k, metric)
+    baseline = gonzalez(points, spec.k)
     add_row("gonzalez", baseline, time.perf_counter() - started)
     for row in rows:
         row["group_labels"] = labels
@@ -360,8 +360,7 @@ def _add_common(parser: argparse.ArgumentParser, handler, needs_input: bool = Tr
     parser.set_defaults(handler=handler, **defaults)
     if needs_input:
         parser.add_argument("--input", "-i", required=True, help="input CSV path, or '-' for standard input")
-    parser.add_argument("--metric", default="euclidean", choices=["euclidean"], help="distance metric")
-    parser.add_argument("--group-col", default="group", help="group column name or 0-based index")
+        parser.add_argument("--group-col", default="group", help="group column name or 0-based index")
     parser.add_argument("--caps", required=True, help="comma-separated per-group center caps, e.g. 2,3")
     parser.add_argument("--k", type=int, default=None, help="total center budget; must equal the cap sum")
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in the report")

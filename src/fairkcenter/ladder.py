@@ -144,19 +144,19 @@ class Ladder:
     def _dispatch(self, point: Point) -> None:
         """Feed the point to every live rung, the top one last.
 
-        A general rung below the top changes only when its own-group set does
-        not cover the point: then the point is stored or overflows the set.
-        So each such rung scans that one set, the scan ``process`` starts
-        with, and ``process`` runs on that scan only for an event; a covered
-        rung's update is that one scan, within its budget. Semi rungs, and a
-        point outside groups 1 and 2 (which the first rung's ``process``
-        refuses), take the full ``process``."""
+        On a point of its ``event_groups`` (both groups in general mode, group
+        1 in semi mode until group 2 starts) a rung below the top changes only
+        when its own-group set does not cover the point, which is then stored
+        or overflows the set. So the rung scans that one set, within its
+        budget, and runs ``process`` on that scan only for such an event. A
+        semi group-2 point, or one outside groups 1 and 2 (which the first
+        rung's ``process`` refuses), takes the full ``process`` on every rung."""
         live = list(self.instances.items())
         top_guess, top = live.pop()
-        events_only = self.mode == "general" and point.group in (1, 2)
+        group = point.group
         for guess, inst in live:
-            if events_only:
-                own = inst.reps[point.group]
+            if group in inst.event_groups:
+                own = inst.reps[group]
                 scan = own.scan(point)
                 if own.covers(*scan):
                     continue
@@ -325,8 +325,6 @@ def run_known(
     A zero radius degrades to exact-duplicate collapsing: the separation
     threshold becomes zero, so only coordinate-distinct points are stored.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
     inst = make_instance(mode, radius, spec, metric)
     for p in points:
         inst.process(p)

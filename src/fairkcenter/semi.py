@@ -34,11 +34,16 @@ class SemiInstance(SolverInstance):
         self.replacements: list[Point] = []
         self.replacement_of: dict[int, Point] = {}  # reps1 member id -> group-2 stand-in
         self.group2_started = False
+        # group 1 keeps the general solver's plain set until group 2 starts; a
+        # group-2 point the set covers can still change the rung, as a stand-in
+        self.event_groups = (1,)
 
-    def process(self, point: Point, probe_other: bool = False) -> float | None:
-        """Feed one point. With ``probe_other`` the nearest stored distance
-        over both groups is returned; without it, or after an overflow, None
-        is."""
+    def process(
+        self, point: Point, probe_other: bool = False, scan: tuple[float, int] | None = None,
+    ) -> float | None:
+        """Feed one point; ``probe_other`` is as in ``_offer_own``. ``scan`` is
+        the caller's ``scan`` of ``reps1`` for a group-1 point, whose
+        evaluations count toward this update."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
@@ -47,9 +52,14 @@ class SemiInstance(SolverInstance):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
         budget = len(self.reps1) + len(self.reps2)  # each path scans each set at most once
         stats = self.stats
-        evals_before = stats.distance_evals
+        evals_before = stats.distance_evals - (0 if scan is None else len(self.reps1))
         if point.group == 1:
-            nearest_all = self._process_group1(point, probe_other)
+            if self.group2_started:
+                raise StreamOrderError(
+                    f"point {point.id}: group-1 point after group-2 streaming began; "
+                    "this solver requires all group-1 points first"
+                )
+            nearest_all = self._offer_own(point, probe_other, scan)
         else:
             nearest_all = self._process_group2(point, probe_other)
         excess = stats.distance_evals - evals_before - budget
@@ -57,24 +67,9 @@ class SemiInstance(SolverInstance):
             stats.update_excess = excess
         return nearest_all
 
-    def _process_group1(self, point: Point, probe_other: bool) -> float | None:
-        if self.group2_started:
-            raise StreamOrderError(
-                f"point {point.id}: group-1 point after group-2 streaming began; "
-                "this solver requires all group-1 points first"
-            )
-        res = self.reps1.offer(point)
-        if res.status is OfferStatus.OVERFLOW:
-            self.overflowed = True
-            return None
-        if res.status is OfferStatus.ADDED:
-            self._store(point)
-        if probe_other:
-            return min(res.min_dist, self.reps2.min_dist(point))
-        return None
-
     def _process_group2(self, point: Point, probe_other: bool) -> float | None:
         self.group2_started = True
+        self.event_groups = ()  # a later group-1 point must reach process, to be refused
         lam = self.threshold
         dist1, nearest_rep = self.reps1.nearest(point)
         dist2: float | None = None

@@ -55,8 +55,11 @@ class SolverInstance:
     """Lifecycle bookkeeping both one-pass solvers share: the radius guess
     and its separation threshold, one representative set per group, and the
     points stored so far, counted into ``stats``. ``cap2`` bounds the group-2
-    set (k by default, as for group 1). Subclasses define ``process`` and
-    ``finalize`` themselves."""
+    set (k by default, as for group 1). Each subclass defines its own
+    ``process`` and ``finalize``: the benchmark's tracer wraps them class by
+    class, so inherited ones break ``python -m pytest perfbench``. A subclass
+    names in ``event_groups`` the groups whose update, for now, is only
+    ``_offer_own``."""
 
     def __init__(
         self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
@@ -96,39 +99,44 @@ class SolverInstance:
         self.stats.stored += 1
         self.stats.instance_peak = max(self.stats.instance_peak, len(self.stored_order))
 
+    def _offer_own(self, point: Point, probe_other: bool, scan: tuple[float, int] | None) -> float | None:
+        """Offer the point to its group's set (on ``scan`` when given). With
+        ``probe_other`` the other group's set is scanned too, so the work stays
+        at one evaluation per stored point, and the nearest stored distance over
+        both groups is returned; without it, or after an overflow, None is."""
+        res = self.reps[point.group].offer(point, scan)
+        if res.status is OfferStatus.OVERFLOW:
+            self.overflowed = True
+            return None
+        if res.status is OfferStatus.ADDED:
+            self._store(point)
+        if probe_other:
+            return min(res.min_dist, self.reps[3 - point.group].min_dist(point))
+        return None
+
 
 class StreamInstance(SolverInstance):
     """Streaming state for one radius guess over a two-group stream."""
 
+    event_groups = (1, 2)  # either group's set changes only on an uncovered point
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
 
     def process(
         self, point: Point, probe_other: bool = False, scan: tuple[float, int] | None = None,
     ) -> float | None:
-        """Route the point to its group's set. With ``probe_other`` the other
-        group's set is scanned too, so the total work stays at one evaluation
-        per currently stored point, and the nearest stored distance over both
-        groups is returned; without it, or after an overflow, None is.
-        ``scan`` is the caller's ``scan`` of the point's own-group set, whose
-        evaluations count toward this update."""
+        """Route the point to its group's set by ``_offer_own``. ``scan`` is the
+        caller's ``scan`` of that set, whose evaluations count toward this
+        update."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
             raise RuntimeError("instance already overflowed")
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        own, other = self.reps[point.group], self.reps[3 - point.group]
-        budget = len(own) + len(other)
+        budget = len(self.reps1) + len(self.reps2)
         stats = self.stats
-        evals_before = stats.distance_evals - (0 if scan is None else len(own))
-        res = own.offer(point, scan)
-        nearest_all: float | None = None
-        if res.status is OfferStatus.OVERFLOW:
-            self.overflowed = True
-        elif res.status is OfferStatus.ADDED:
-            self._store(point)
-        if probe_other and not self.overflowed:
-            nearest_all = min(res.min_dist, other.min_dist(point))
+        evals_before = stats.distance_evals - (0 if scan is None else len(self.reps[point.group]))
+        nearest_all = self._offer_own(point, probe_other, scan)
         excess = stats.distance_evals - evals_before - budget
         if excess > stats.update_excess:
             stats.update_excess = excess

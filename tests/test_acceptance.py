@@ -2,7 +2,6 @@
 pass/fail line (run with -s to see them alongside the pytest verdicts)."""
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -141,8 +140,7 @@ def planted_ladder_runs():
                         "spec": spec,
                         "ratio": cost / planted.planted_r,
                         "fair": not check_fairness(result.centers, spec),
-                        "low": ladder.guesses[0],
-                        "high": ladder.guesses[-1],
+                        "grid_bound": ladder.grid_bound,
                         "spawned": ladder.spawned_count,
                         "per_instance_peak": ladder.per_instance_stored_peak,
                         "total_stored_peak": ladder.total_stored_peak,
@@ -177,10 +175,9 @@ def test_criterion_5_memory_contract(planted_ladder_runs):
     failures = []
     for rec in planted_ladder_runs:
         per_instance_cap = (2 * LADDER_K + 2) if rec["mode"] == "general" else (3 * LADDER_K + 2)
-        grid_bound = math.ceil(math.log(rec["high"] / rec["low"]) / math.log(1.0 + LADDER_EPSILON)) + 1
         if rec["per_instance_peak"] > per_instance_cap:
             failures.append((rec["mode"], rec["n"], rec["run"], "per-instance storage"))
-        if rec["spawned"] > grid_bound:
+        if rec["spawned"] > rec["grid_bound"]:
             failures.append((rec["mode"], rec["n"], rec["run"], "instance count"))
         if rec["total_stored_peak"] > rec["spawned"] * per_instance_cap:
             failures.append((rec["mode"], rec["n"], rec["run"], "total storage"))

@@ -253,12 +253,14 @@ def test_malformed_caps_are_a_structured_error(tmp_path, capsys):
     assert payload["error"]["kind"] == "ValueError"
 
 
-@pytest.mark.parametrize("radius", ["inf", "nan"])
+@pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
 def test_non_finite_radius_is_a_structured_error(tmp_path, capsys, radius):
+    # a negative radius meets the same check as a non-finite one
     path = write(tmp_path, "both_over.csv", BOTH_OVER_CSV)
     rc = main(["known", "--input", path, "--caps", "1,1", "--radius", radius])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
     assert payload["error"]["kind"] == "ValueError"
     assert "finite" in payload["error"]["message"]
 

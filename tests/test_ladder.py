@@ -9,6 +9,7 @@ from fairkcenter import (
     Point,
     SemiInstance,
     StreamInstance,
+    StreamOrderError,
     brute_force_opt,
     check_fairness,
     clustering_cost,
@@ -233,6 +234,19 @@ def test_pruned_guesses_are_reported():
     assert len(ladder.pruned) >= 1  # undersized guesses overflowed and died
 
 
+@pytest.mark.xfail(
+    strict=True, raises=RuntimeError,
+    reason="ROADMAP item 3c: a semi rung drops a group-2 point within one threshold of group 1",
+)
+def test_semi_ladder_serves_group_2_alone_under_a_zero_group_1_cap():
+    # the oracle gives r_opt 20 with the group-2 point as the one center
+    spec = FairnessSpec((0, 1))
+    points = stream([(0.0, 1), (10.0, 1), (20.0, 2)])
+    _, result = run_ladder(points, spec, mode="semi")
+    assert check_fairness(result.centers, spec) == []
+    assert clustering_cost(points, result.centers) <= 3.0 * result.best_guess
+
+
 def test_unservable_caps_raise():
     # group 2 never appears, yet only group 2 may host centers
     spec = FairnessSpec((0, 1))
@@ -310,6 +324,12 @@ def test_make_instance_maps_each_mode_to_its_solver():
     assert type(make_instance("semi", 1.0, FairnessSpec((1, 1)))) is SemiInstance
 
 
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_run_known_refuses_a_negative_radius(mode):
+    with pytest.raises(ValueError, match=r"^radius guess must be finite and nonnegative, got -1.0$"):
+        run_known(-1.0, stream([(0.0, 1)]), FairnessSpec((1, 1)), mode=mode)
+
+
 @pytest.mark.parametrize("entry", ["make_instance", "run_known", "Ladder"])
 def test_unknown_mode_is_rejected_alike_everywhere(entry):
     spec = FairnessSpec((1, 1))
@@ -375,10 +395,11 @@ def _ladder_state(ladder, result):
     )
 
 
-def _random_general_stream(rng):
+def _random_stream(rng, mode):
     """Integer coordinates on a small grid, so duplicates and exact threshold
     ties occur (at epsilon 1 every guess is the lowest one times a power of
-    two), with a few far points that push the stream past the top guess."""
+    two), with a few far points that push the stream past the top guess.
+    The semi stream is sorted by group."""
     n = int(rng.integers(8, 60))
     dim = int(rng.integers(1, 3))
     points = []
@@ -387,12 +408,14 @@ def _random_general_stream(rng):
         if i > 6 and rng.random() < 0.08:
             coords = coords + 30.0 * i
         points.append(Point(i, tuple(coords), int(rng.integers(1, 3))))
+    if mode == "semi":
+        points.sort(key=lambda p: p.group)
     caps = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2)][int(rng.integers(0, 5))]
     epsilon = [0.1, 1.0][int(rng.integers(0, 2))]
     return points, FairnessSpec(caps), epsilon
 
 
-def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
+def _check_event_dispatch_against_the_reference(monkeypatch, mode):
     covers = IndependentSet.covers
     ties = []
 
@@ -404,8 +427,9 @@ def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
     rng = np.random.default_rng(2026)
     extended = pruned_mid_stream = 0
     for case in range(150):
-        points, spec, epsilon = _random_general_stream(rng)
-        ladder, reference = Ladder(spec, epsilon=epsilon), ReferenceLadder(spec, epsilon=epsilon)
+        points, spec, epsilon = _random_stream(rng, mode)
+        ladder = Ladder(spec, epsilon=epsilon, mode=mode)
+        reference = ReferenceLadder(spec, epsilon=epsilon, mode=mode)
         with monkeypatch.context() as patch:
             patch.setattr(IndependentSet, "covers", counting_covers)
             for p in points:
@@ -421,22 +445,75 @@ def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
     assert ties and extended and pruned_mid_stream
 
 
+def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
+    _check_event_dispatch_against_the_reference(monkeypatch, "general")
+
+
+def test_semi_event_dispatch_matches_the_every_rung_reference(monkeypatch):
+    _check_event_dispatch_against_the_reference(monkeypatch, "semi")
+
+
+def _check_refusal_against_the_reference(mode, setup, bad, message):
+    spec = FairnessSpec((1, 1))
+    errors = []
+    for cls in (Ladder, ReferenceLadder):
+        ladder = cls(spec, mode=mode)
+        for p in stream(setup):
+            ladder.observe(p)
+        # rungs below the top hold group-1 points, so a group-1 point meets
+        # a scan before the top rung's process, on every rung that skips
+        assert len(ladder.instances) > 1
+        assert all(len(inst.reps1) for inst in ladder.instances.values())
+        with pytest.raises(ValueError, match=message) as info:
+            ladder.observe(bad)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [(pt(99, 1.0, 3), "expects groups 1 and 2"), (pt(99, (1.0, 2.0), 1), "dimension mismatch")],
 )
 def test_event_dispatch_refuses_a_bad_point_like_the_reference(bad, message):
-    spec = FairnessSpec((1, 1))
-    errors = []
-    for cls in (Ladder, ReferenceLadder):
-        ladder = cls(spec)
-        for p in stream([(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1)]):
-            ladder.observe(p)
-        # rungs below the top hold group-1 points, so the point meets a
-        # scan before the top rung's process
-        assert len(ladder.instances) > 1
-        assert all(len(inst.reps1) for inst in ladder.instances.values())
-        with pytest.raises(ValueError, match=message) as info:
-            ladder.observe(bad)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
+    setup = [(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1)]
+    _check_refusal_against_the_reference("general", setup, bad, message)
+
+
+SEMI_GROUP1_SETUP = [(0.0, 1), (1.0, 1), (2.0, 1), (4.0, 1)]
+
+
+@pytest.mark.parametrize(
+    "setup, bad, message",
+    [
+        (SEMI_GROUP1_SETUP + [(3.0, 2)], pt(99, 1.0, 3), "expects groups 1 and 2"),
+        (SEMI_GROUP1_SETUP, pt(99, (1.0, 2.0), 1), "dimension mismatch"),
+        (SEMI_GROUP1_SETUP + [(3.0, 2)], pt(99, 1.0, 1), "group-1 point after group-2 streaming began"),
+    ],
+)
+def test_semi_event_dispatch_refuses_a_bad_point_like_the_reference(setup, bad, message):
+    _check_refusal_against_the_reference("semi", setup, bad, message)
+
+
+def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():
+    # a top rung spawned mid-group-2 from a stored set without group-2 points
+    # has not seen group 2, so it alone cannot refuse a late group-1 point;
+    # every rung that has seen group 2 must take the full process on it
+    rng = np.random.default_rng(7)
+    refused_past_a_fresh_top = 0
+    for case in range(400):
+        points, spec, epsilon = _random_stream(rng, "semi")
+        late = Point(len(points), points[int(rng.integers(0, len(points)))].coords, 1)
+        outcomes = []
+        for cls in (Ladder, ReferenceLadder):
+            ladder = cls(spec, epsilon=epsilon, mode="semi")
+            for p in points:
+                ladder.observe(p)
+            fresh_top = not list(ladder.instances.values())[-1].group2_started
+            try:
+                ladder.observe(late)
+                outcomes.append(None)
+            except StreamOrderError as exc:
+                outcomes.append(str(exc))
+                refused_past_a_fresh_top += fresh_top and cls is Ladder
+        assert outcomes[0] == outcomes[1], case
+    assert refused_past_a_fresh_top
