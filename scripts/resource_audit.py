@@ -2,9 +2,11 @@
 """Audit the streaming resource contracts on one planted run.
 
 Prints, for each mode, the stored-point peaks against the per-instance cap,
-the spawned-instance count against the geometric-grid bound, and the worst
-per-point distance-evaluation excess (nonpositive means every update stayed
-within one evaluation per currently stored point).
+the spawned-instance count against the geometric-grid bound, the logical
+distance-evaluation count beside the evaluations actually made (scans that
+reach a covering point stop there), and the worst per-point excess of the
+logical count (nonpositive means every update stayed within one evaluation
+per currently stored point).
 
 Usage::
 
@@ -40,6 +42,8 @@ def audit(n, k, epsilon, seed):
         print(f"  instances spawned     {ladder.spawned_count:5d}  (grid bound {ladder.grid_bound})")
         print(f"  instances live/pruned {ladder.live_count:5d} / {len(ladder.pruned)}")
         print(f"  distance evaluations  {ladder.total_distance_evals}")
+        performed = ladder.total_evals_performed
+        print(f"  evaluations performed {performed}  ({performed / ladder.total_distance_evals:.2f} of them)")
         print(f"  worst update excess   {ladder.worst_update_excess}")
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 Coords = tuple[float, ...]
+NO_STOP = -math.inf  # the default stop radius of ``DistanceMetric.nearest``: scan everything
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,18 @@ class DistanceMetric:
             )
         return self.fn(p.coords, q.coords)
 
-    def nearest(self, p: Point, stored: Sequence[Coords]) -> tuple[float, int]:
+    def nearest(self, p: Point, stored: Sequence[Coords], within: float = NO_STOP) -> tuple[float, int]:
         """Nearest of ``stored`` to ``p``: (distance, index), (inf, -1) when empty.
 
-        The one nearest-point kernel: ``fn`` on the coordinate tuples in
-        order, exactly one evaluation per stored point, so euclidean
-        distances are ``math.dist``'s (correctly scaled, no underflow) at any
-        size. The first strict minimum wins: ties keep the earliest index,
-        and a NaN or inf distance never becomes the nearest. The dimension
-        is checked once, against the first stored point.
+        The one nearest-point kernel: ``fn`` on the coordinate tuples, at most
+        one evaluation per stored point, so euclidean distances are
+        ``math.dist``'s (correctly scaled, no underflow) at any size. With a
+        stop radius ``within`` the scan runs newest first and returns the
+        first point with ``d <= within``; a scan that stops at index i has
+        made n - i evaluations. Otherwise, and always under the default, the
+        result is the exact minimum over every stored point: ties keep the
+        earliest index, and a NaN or inf distance never becomes the nearest.
+        The dimension is checked once, against the first stored point.
         """
         pc = p.coords
         if stored and len(pc) != len(stored[0]):
@@ -78,10 +82,23 @@ class DistanceMetric:
         best = math.inf
         best_idx = -1
         fn = self.fn
-        for idx, q in enumerate(stored):
-            d = fn(pc, q)
-            if d < best:
+        if within == NO_STOP:
+            # nothing can stop the scan, so the plain forward loop does it
+            for idx, q in enumerate(stored):
+                d = fn(pc, q)
+                if d < best:
+                    best, best_idx = d, idx
+            return best, best_idx
+        for idx in range(len(stored) - 1, -1, -1):
+            d = fn(pc, stored[idx])
+            # while the scan runs, best > within, so a point within the
+            # radius always passes this test first; <= keeps the earliest tie
+            if d <= best:
+                if d <= within:
+                    return d, idx
                 best, best_idx = d, idx
+        if best == math.inf:
+            return best, -1  # only inf distances: no nearest point, as above
         return best, best_idx
 
 
@@ -202,7 +219,9 @@ def clustering_cost(
     worst = -1.0
     nearest = metric.nearest
     for p in points:
-        worst = max(worst, nearest(p, coords)[0])
+        # a point with some center within the running maximum cannot raise
+        # it, so its scan may stop at that center
+        worst = max(worst, nearest(p, coords, worst)[0])
     if worst < 0:
         raise ValueError("empty point set")
     return worst
@@ -210,16 +229,25 @@ def clustering_cost(
 
 @dataclass(slots=True)
 class RunStats:
-    """The counters the memory and update-time contracts check, shared by a
-    ladder, its rungs and their stored sets; a standalone rung or set keeps its own."""
+    """The counters the memory and update-time contracts check, and the
+    evaluations actually made, shared by a ladder, its rungs and their stored
+    sets; a standalone rung or set keeps its own."""
 
     # stored-set scans (streaming and the one-over filter), the bootstrap buffer and
-    # replay diameters; the both-over graph and cover are not counted
+    # replay diameters; the both-over graph and cover are not counted. Logical:
+    # one per stored point scanned, the paper's bound, even when a scan stops early
     distance_evals: int = 0
+    evals_skipped: int = 0  # of those, the ones scans that stop at a covering point never made
     stored: int = 0  # points the live rungs hold together
     stored_peak: int = 0  # most points the live rungs and the bootstrap buffer held after a point
     instance_peak: int = 0  # most points any one rung held, live or pruned
     update_excess: int = 0  # worst per-point evaluations above the stored-set budget
+
+    @property
+    def evals_performed(self) -> int:
+        """The distance evaluations actually made. Kept as logical less
+        skipped, so a full scan, which skips none, updates one counter."""
+        return self.distance_evals - self.evals_skipped
 
 
 @dataclass(frozen=True)

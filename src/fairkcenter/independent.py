@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .core import EUCLIDEAN, Coords, DistanceMetric, Point, RunStats
+from .core import EUCLIDEAN, NO_STOP, Coords, DistanceMetric, Point, RunStats
 
 
 class OfferStatus(Enum):
@@ -52,7 +52,7 @@ class IndependentSet:
         self.members: list[Point] = []
         self.overflowed = False
         self.stats = stats if stats is not None else RunStats()
-        self._coords: list[Coords] = []  # members' coords, same order
+        self.coords: list[Coords] = []  # members' coords, same order; read-only outside ``offer``
 
     def __len__(self) -> int:
         return len(self.members)
@@ -61,8 +61,8 @@ class IndependentSet:
         """Nearest stored point: (distance, index), (inf, -1) when empty, by
         ``metric.nearest`` over the stored coordinates; its one evaluation
         per stored point is counted in ``stats``."""
-        self.stats.distance_evals += len(self._coords)
-        return self.metric.nearest(p, self._coords)
+        self.stats.distance_evals += len(self.coords)
+        return self.metric.nearest(p, self.coords)
 
     def covers(self, d: float, idx: int) -> bool:
         """Whether a ``scan`` result covers its point: a point at exactly the
@@ -70,9 +70,17 @@ class IndependentSet:
         even under an infinite threshold."""
         return idx >= 0 and d <= self.threshold
 
-    def min_dist(self, p: Point) -> float:
-        """Distance from ``p`` to the nearest stored point; inf when empty."""
-        return self.scan(p)[0]
+    def min_dist(self, p: Point, within: float = NO_STOP) -> float:
+        """Distance from ``p`` to the nearest stored point; inf when empty.
+        Given ``within``, the scan stops at the newest stored point that
+        close, which still decides ``min_dist(p, within) > within``; the
+        evaluations it skips are counted in ``stats``."""
+        coords = self.coords
+        self.stats.distance_evals += len(coords)
+        d, idx = self.metric.nearest(p, coords, within)
+        if d <= within and idx > 0:
+            self.stats.evals_skipped += idx
+        return d
 
     def nearest(self, p: Point) -> tuple[float, Point | None]:
         """Nearest stored point and the distance to it; (inf, None) when
@@ -94,6 +102,6 @@ class IndependentSet:
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
             return OfferResult(OfferStatus.OVERFLOW, d)
-        self._coords.append(p.coords)
+        self.coords.append(p.coords)
         self.members.append(p)
         return OfferResult(OfferStatus.ADDED, d)

@@ -75,6 +75,10 @@ class Ladder:
             raise ValueError("the ladder handles exactly two groups")
         if not 0.0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        if 1.0 + epsilon == 1.0:
+            # a (1+epsilon) step would round back to the guess, and the grid
+            # would climb one float ulp at a time
+            raise ValueError(f"epsilon {epsilon} is too small: 1 + epsilon rounds to 1")
         make_instance(mode, 0.0, spec, metric)  # rejects an unknown mode now, not at the first rung
         self.spec = spec
         self.metric = metric
@@ -147,24 +151,39 @@ class Ladder:
         On a point of its ``event_groups`` (both groups in general mode, group
         1 in semi mode until group 2 starts) a rung below the top changes only
         when its own-group set does not cover the point, which is then stored
-        or overflows the set. So the rung scans that one set, within its
-        budget, and runs ``process`` on that scan only for such an event. A
-        semi group-2 point, or one outside groups 1 and 2 (which the first
-        rung's ``process`` refuses), takes the full ``process`` on every rung."""
+        or overflows the set. So the rung scans that one set with the kernel,
+        stopping at the first stored point within the threshold, and runs
+        ``process`` on the scan only when none is: a scan that does not stop
+        is the exact one ``process`` would make. A semi group-2 point, or one
+        outside groups 1 and 2 (which the first rung's ``process`` refuses),
+        takes the full ``process`` on every rung. The scans' counts are added
+        to ``stats`` once per point, and before any ``process`` call, which
+        reads them for its update excess."""
         live = list(self.instances.items())
         top_guess, top = live.pop()
         group = point.group
+        nearest = self.metric.nearest
+        stats = self.stats
+        logical = skipped = 0
         for guess, inst in live:
             if group in inst.event_groups:
-                own = inst.reps[group]
-                scan = own.scan(point)
-                if own.covers(*scan):
+                coords = inst.reps[group].coords
+                logical += len(coords)
+                threshold = inst.threshold
+                d, idx = nearest(point, coords, threshold)
+                if d <= threshold:
+                    skipped += idx  # the scan stopped at idx
                     continue
-                inst.process(point, scan=scan)
+                stats.distance_evals += logical
+                stats.evals_skipped += skipped
+                logical = skipped = 0
+                inst.process(point, scan=(d, idx))
             else:
                 inst.process(point)
             if inst.overflowed:
                 self._retire(guess, self.instances.pop(guess))
+        stats.distance_evals += logical
+        stats.evals_skipped += skipped
         # the top rung also probes the other group: the grid-extension test
         # needs the nearest stored distance over both
         nearest_all = top.process(point, probe_other=True)
@@ -280,6 +299,12 @@ class Ladder:
     @property
     def total_distance_evals(self) -> int:
         return self.stats.distance_evals
+
+    @property
+    def total_evals_performed(self) -> int:
+        """Distance evaluations actually made: ``total_distance_evals`` less
+        what scans that stop at a covering point skip."""
+        return self.stats.evals_performed
 
     @property
     def per_instance_stored_peak(self) -> int:

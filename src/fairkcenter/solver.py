@@ -181,7 +181,7 @@ def select_with_one_group_over(
     the optimum.
     """
     keep_beyond = 3.0 * radius_guess
-    survivors = [p for p in over.members if under.min_dist(p) > keep_beyond]
+    survivors = [p for p in over.members if under.min_dist(p, keep_beyond) > keep_beyond]
     if over.group_filter is None:
         raise ValueError("overfull set must be group-filtered")
     if len(survivors) > spec.cap(over.group_filter):
@@ -259,7 +259,7 @@ def select_with_both_groups_over(
     near_radius = 2.0 * radius_guess
     for pid in sorted(points):
         p = points[pid]
-        if not adj[pid] and metric.nearest(p, [c.coords for c in chosen])[0] > near_radius:
+        if not adj[pid] and metric.nearest(p, [c.coords for c in chosen], near_radius)[0] > near_radius:
             take(p)
 
     def try_early_exit() -> list[Point] | None:
@@ -272,7 +272,8 @@ def select_with_both_groups_over(
                 base = chosen + [points[pid] for pid in mine]
                 served = [c.coords for c in base]
                 others = (points[pid] for pid in live_in(3 - group))
-                return base + [q for q in others if metric.nearest(q, served)[0] > graph.link_radius]
+                link = graph.link_radius
+                return base + [q for q in others if metric.nearest(q, served, link)[0] > link]
         return None
 
     final = try_early_exit()  # harmless pre-loop check; fires only when already feasible

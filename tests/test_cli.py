@@ -265,6 +265,16 @@ def test_non_finite_radius_is_a_structured_error(tmp_path, capsys, radius):
     assert "finite" in payload["error"]["message"]
 
 
+def test_an_epsilon_that_vanishes_beside_one_is_a_structured_error(tmp_path, capsys):
+    # the ladder used to climb one float ulp per grid step here and never finish
+    path = write(tmp_path, "tiny.csv", "x,group\n0,1\n1,2\n10,1\n20,2\n")
+    rc = main(["solve", "--input", path, "--caps", "1,1", "--epsilon", "1e-17"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"] == {"kind": "ValueError", "message": "epsilon 1e-17 is too small: 1 + epsilon rounds to 1"}
+
+
 def test_non_finite_report_value_is_a_structured_error(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "both_over.csv", BOTH_OVER_CSV)
     monkeypatch.setattr("fairkcenter.cli.run", lambda config: {"r_hat": float("nan")})

@@ -79,6 +79,82 @@ def test_nearest_names_the_point_on_a_dimension_mismatch():
         EUCLIDEAN.nearest(pt(7, 0.0), [(0.0, 0.0), (1.0, 1.0)])
 
 
+def forward_nearest(fn, pc, stored):
+    """The kernel before its stop radius: a forward scan keeping the first
+    strict minimum, so ties keep the earliest index and NaN or inf never wins."""
+    best, best_idx = math.inf, -1
+    for idx, q in enumerate(stored):
+        d = fn(pc, q)
+        if d < best:
+            best, best_idx = d, idx
+    return best, best_idx
+
+
+def grid_metrics():
+    """Euclidean, plus 1-D and 2-D custom metrics that return NaN or inf for
+    some stored coordinates (the poisoned cells of a small integer grid)."""
+    def poisoned(a, b):
+        if b[0] == 5.0:
+            return math.nan
+        if b[0] == 6.0:
+            return math.inf
+        return sum(abs(x - y) for x, y in zip(a, b))
+
+    return [EUCLIDEAN, DistanceMetric.from_callable(poisoned, "poisoned-l1")]
+
+
+def test_nearest_matches_the_forward_reference_and_stops_at_the_newest_point_within():
+    rng = np.random.default_rng(31)
+    stopped = full = 0
+    for case in range(1500):
+        metric = grid_metrics()[case % 2]
+        dim = int(rng.integers(1, 3))
+        n = int(rng.integers(0, 12))
+        # a 0..7 grid: duplicates and exact distance ties are common
+        stored = [tuple(map(float, rng.integers(0, 8, size=dim))) for _ in range(n)]
+        p = pt(0, tuple(map(float, rng.integers(0, 8, size=dim))))
+        reference = forward_nearest(metric.fn, p.coords, stored)
+        d, idx = metric.nearest(p, stored)
+        assert (d.hex(), idx) == (reference[0].hex(), reference[1]), case
+        within = [-1.0, 0.0, 1.0, 2.0, float(rng.integers(0, 8)), math.inf][case % 6]
+        close = [i for i, q in enumerate(stored) if metric.fn(p.coords, q) <= within]
+        d, idx = metric.nearest(p, stored, within)
+        if close:
+            stopped += 1
+            assert idx == close[-1] and d == metric.fn(p.coords, stored[idx]), case
+        else:
+            full += 1
+            assert (d.hex(), idx) == (reference[0].hex(), reference[1]), case
+    assert stopped > 300 and full > 300
+
+
+def test_a_scan_that_stops_at_index_i_makes_n_minus_i_evaluations():
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return abs(a[0] - b[0])
+
+    metric = DistanceMetric.from_callable(counted, "counted")
+    stored = [(0.0,), (10.0,), (1.0,), (20.0,), (30.0,)]
+    assert metric.nearest(pt(0, 0.5), stored, 0.5) == (0.5, 2)
+    assert len(calls) == len(stored) - 2
+    calls.clear()
+    assert metric.nearest(pt(0, 0.5), stored, 0.25) == (0.5, 0)  # nothing that close: the exact result
+    assert len(calls) == len(stored)
+
+
+def test_cost_replay_equals_the_forward_maximum():
+    rng = np.random.default_rng(32)
+    for case in range(300):
+        metric = grid_metrics()[case % 2]
+        points = [pt(i, tuple(map(float, rng.integers(0, 8, size=2)))) for i in range(int(rng.integers(1, 15)))]
+        centers = points[: int(rng.integers(1, len(points) + 1))]
+        coords = [c.coords for c in centers]
+        expected = max(forward_nearest(metric.fn, p.coords, coords)[0] for p in points)
+        assert clustering_cost(points, centers, metric).hex() == expected.hex(), case
+
+
 def test_cost_checks_every_center_dimension():
     # a zip-based metric would silently truncate the longer coordinate tuple
     manhattan = DistanceMetric.from_callable(lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))

@@ -90,6 +90,20 @@ def test_group_filter_mismatch():
         s.offer(pt(0, 0.0, group=2))
 
 
+def test_a_stopped_scan_counts_every_member_as_logical_and_only_those_made_as_performed():
+    s = IndependentSet(3.0)
+    for i, x in enumerate([0.0, 10.0, 20.0, 30.0]):
+        s.offer(pt(i, x))
+    assert s.stats.evals_performed == s.stats.distance_evals  # offers scan everything
+    logical, performed = s.stats.distance_evals, s.stats.evals_performed
+    # newest first: 30 and 20 are farther than 3, 10 at index 1 is within it
+    assert s.min_dist(pt(9, 11.0), within=3.0) == 1.0
+    assert s.stats.distance_evals - logical == 4
+    assert s.stats.evals_performed - performed == 4 - 1
+    assert s.min_dist(pt(9, 50.0), within=3.0) == 20.0  # nothing within: every member
+    assert s.stats.evals_performed - performed == 3 + 4
+
+
 def test_offer_costs_exactly_one_eval_per_member():
     s = IndependentSet(3.0)
     for i, x in enumerate([0.0, 10.0, 20.0, 11.0, 40.0]):

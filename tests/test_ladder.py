@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairkcenter import (
+    DistanceMetric,
     FairnessSpec,
     Ladder,
     Point,
@@ -89,6 +90,14 @@ def test_ladder_rejects_other_than_two_groups_up_front():
 def test_ladder_rejects_a_non_positive_or_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         Ladder(FairnessSpec((1, 1)), epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1e-17, 2.0**-53])
+def test_ladder_refuses_an_epsilon_that_vanishes_beside_one(epsilon):
+    # a grid stepped by 1 + epsilon == 1 would climb one float ulp at a time
+    with pytest.raises(ValueError, match=r"is too small: 1 \+ epsilon rounds to 1$"):
+        Ladder(FairnessSpec((1, 1)), epsilon=epsilon)
+    Ladder(FairnessSpec((1, 1)), epsilon=2.0**-52)  # the smallest epsilon that still steps
 
 
 def test_empty_stream_is_an_error():
@@ -451,6 +460,45 @@ def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
 
 def test_semi_event_dispatch_matches_the_every_rung_reference(monkeypatch):
     _check_event_dispatch_against_the_reference(monkeypatch, "semi")
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_evals_performed_stay_within_the_logical_count(mode):
+    # the streams of _check_event_dispatch_against_the_reference
+    rng = np.random.default_rng(2026)
+    for case in range(150):
+        points, spec, epsilon = _random_stream(rng, mode)
+        ladder, _ = run_ladder(points, spec, mode, epsilon)
+        assert ladder.total_evals_performed <= ladder.total_distance_evals, case
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_evals_performed_count_each_evaluation_made_while_streaming(mode):
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return math.dist(a, b)
+
+    metric = DistanceMetric.from_callable(counted, "counted")
+    rng = np.random.default_rng(2027)
+    for case in range(60):
+        points, spec, epsilon = _random_stream(rng, mode)
+        calls.clear()
+        ladder = Ladder(spec, metric, epsilon=epsilon, mode=mode)
+        for p in points:
+            ladder.observe(p)
+        assert ladder.total_evals_performed == len(calls), case
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_covered_scans_stop_early_on_a_planted_run(mode):
+    spec = FairnessSpec((3, 3))
+    points = list(generate_planted(spec, 600, 1.0, seed=4).points)
+    if mode == "semi":
+        points.sort(key=lambda p: p.group)
+    ladder, _ = run_ladder(points, spec, mode)
+    assert ladder.total_evals_performed < 0.9 * ladder.total_distance_evals
 
 
 def _check_refusal_against_the_reference(mode, setup, bad, message):
