@@ -16,7 +16,6 @@ from .core import (
     Point,
     check_fairness,
     clustering_cost,
-    distance,
 )
 from .independent import IndependentSet, OfferStatus
 from .ladder import Ladder, run_known
@@ -60,7 +59,6 @@ __all__ = [
     "candidate_radii",
     "check_fairness",
     "clustering_cost",
-    "distance",
     "generate_planted",
     "gonzalez",
     "run_known",

@@ -105,11 +105,6 @@ class DistanceMetric:
 EUCLIDEAN = DistanceMetric.euclidean()
 
 
-def distance(p: Point, q: Point, metric: DistanceMetric = EUCLIDEAN) -> float:
-    """Metric distance between two points of equal dimension."""
-    return metric(p, q)
-
-
 def _whole_cap(cap) -> int:
     """``cap`` as an int; a cap that is not a whole number is refused, never
     truncated."""

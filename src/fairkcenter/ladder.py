@@ -94,6 +94,7 @@ class Ladder:
         self.guesses: list[float] = []  # every grid point ever spawned, ascending
         self.pruned: list[float] = []
         self.points_seen = 0
+        self.dim: int | None = None  # the stream's dimension, set by its first point
         self.stats = RunStats()  # shared by every rung, live or pruned
         self.finished = False
 
@@ -104,6 +105,15 @@ class Ladder:
         """Feed one stream point to the ladder."""
         if self.finished:
             raise RuntimeError("ladder already finished")
+        if self.dim is None:
+            self.dim = len(point.coords)
+        elif len(point.coords) != self.dim:
+            # refused here, before any rung changes: a gate scan of an empty
+            # set never meets a stored point to compare the dimension with
+            raise ValueError(
+                f"dimension mismatch: point {point.id} has {len(point.coords)} coords, "
+                f"the stream's first point has {self.dim}"
+            )
         self.points_seen += 1
         if self.bootstrapping:
             self._buffer_point(point)
@@ -148,17 +158,16 @@ class Ladder:
     def _dispatch(self, point: Point) -> None:
         """Feed the point to every live rung, the top one last.
 
-        On a point of its ``event_groups`` (both groups in general mode, group
-        1 in semi mode until group 2 starts) a rung below the top changes only
-        when its own-group set does not cover the point, which is then stored
-        or overflows the set. So the rung scans that one set with the kernel,
-        stopping at the first stored point within the threshold, and runs
-        ``process`` on the scan only when none is: a scan that does not stop
-        is the exact one ``process`` would make. A semi group-2 point, or one
-        outside groups 1 and 2 (which the first rung's ``process`` refuses),
-        takes the full ``process`` on every rung. The scans' counts are added
-        to ``stats`` once per point, and before any ``process`` call, which
-        reads them for its update excess."""
+        A rung below the top scans the point's ``gates`` in order with the
+        kernel, each stopping at the first stored point within its radius. The
+        first scan that stops proves the point changes nothing on that rung.
+        When none stops, each scan was the exact one ``process`` would make,
+        so ``process`` runs on them; a group with no gate (a semi rung over
+        its group-1 cap, a late group-1 point, or a group outside 1 and 2,
+        which the first rung's ``process`` refuses) takes the full
+        ``process``. The scans' counts are added to ``stats`` once per point,
+        and before any ``process`` call, which reads them for its update
+        excess."""
         live = list(self.instances.items())
         top_guess, top = live.pop()
         group = point.group
@@ -166,22 +175,21 @@ class Ladder:
         stats = self.stats
         logical = skipped = 0
         for guess, inst in live:
-            if group in inst.event_groups:
-                coords = inst.reps[group].coords
+            scans = ()
+            for coords, within in inst.gates.get(group, ()):
                 logical += len(coords)
-                threshold = inst.threshold
-                d, idx = nearest(point, coords, threshold)
-                if d <= threshold:
+                d, idx = nearest(point, coords, within)
+                if d <= within:
                     skipped += idx  # the scan stopped at idx
-                    continue
+                    break
+                scans += ((d, idx),)
+            else:
                 stats.distance_evals += logical
                 stats.evals_skipped += skipped
                 logical = skipped = 0
-                inst.process(point, scan=(d, idx))
-            else:
-                inst.process(point)
-            if inst.overflowed:
-                self._retire(guess, self.instances.pop(guess))
+                inst.process(point, scans=scans)
+                if inst.overflowed:
+                    self._retire(guess, self.instances.pop(guess))
         stats.distance_evals += logical
         stats.evals_skipped += skipped
         # the top rung also probes the other group: the grid-extension test

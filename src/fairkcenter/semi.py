@@ -34,15 +34,15 @@ class SemiInstance(SolverInstance):
         self.replacements: list[Point] = []
         self.replacement_of: dict[int, Point] = {}  # reps1 member id -> group-2 stand-in
         self.group2_started = False
-        # group 1 keeps the general solver's plain set until group 2 starts; a
-        # group-2 point the set covers can still change the rung, as a stand-in
-        self.event_groups = (1,)
+        # group 1 keeps the general solver's plain set until group 2 starts;
+        # the first group-2 point sets the group-2 gates
+        self.gates = {1: ((self.reps1.coords, self.threshold),)}
 
     def process(
-        self, point: Point, probe_other: bool = False, scan: tuple[float, int] | None = None,
+        self, point: Point, probe_other: bool = False, scans: tuple[tuple[float, int], ...] = (),
     ) -> float | None:
-        """Feed one point; ``probe_other`` is as in ``_offer_own``. ``scan`` is
-        the caller's ``scan`` of ``reps1`` for a group-1 point, whose
+        """Feed one point; ``probe_other`` is as in ``_offer_own``. ``scans``
+        are the caller's exact scans of the point's ``gates``, whose
         evaluations count toward this update."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
@@ -52,33 +52,49 @@ class SemiInstance(SolverInstance):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
         budget = len(self.reps1) + len(self.reps2)  # each path scans each set at most once
         stats = self.stats
-        evals_before = stats.distance_evals - (0 if scan is None else len(self.reps1))
+        evals_before = stats.distance_evals
+        if scans:
+            evals_before -= sum(len(coords) for coords, _ in self.gates[point.group])
         if point.group == 1:
             if self.group2_started:
                 raise StreamOrderError(
                     f"point {point.id}: group-1 point after group-2 streaming began; "
                     "this solver requires all group-1 points first"
                 )
-            nearest_all = self._offer_own(point, probe_other, scan)
+            nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
         else:
-            nearest_all = self._process_group2(point, probe_other)
+            nearest_all = self._process_group2(point, probe_other, scans)
         excess = stats.distance_evals - evals_before - budget
         if excess > stats.update_excess:
             stats.update_excess = excess
         return nearest_all
 
-    def _process_group2(self, point: Point, probe_other: bool) -> float | None:
-        self.group2_started = True
-        self.event_groups = ()  # a later group-1 point must reach process, to be refused
+    def _process_group2(
+        self, point: Point, probe_other: bool, scans: tuple[tuple[float, int], ...],
+    ) -> float | None:
         lam = self.threshold
-        dist1, nearest_rep = self.reps1.nearest(point)
-        dist2: float | None = None
         group1_fits = len(self.reps1) <= self.spec.caps[0]
+        if not self.group2_started:
+            # reps1 is frozen from here on, and with it group1_fits. While group
+            # 1 fits, no stand-in arises, and a point within 1.5 thresholds of
+            # reps1 (not admitted) or within one of reps2 (covered) changes
+            # nothing. Over the cap any point may record a stand-in, so none is
+            # gated. Group 1 loses its gate: a later group-1 point must reach
+            # process, to be refused.
+            self.group2_started = True
+            self.gates = {2: ((self.reps1.coords, 1.5 * lam), (self.reps2.coords, lam))} if group1_fits else {}
+        if scans:
+            (dist1, idx1), scan2 = scans
+            nearest_rep = self.reps1.members[idx1] if idx1 >= 0 else None
+        else:
+            dist1, nearest_rep = self.reps1.nearest(point)
+            scan2 = None
+        dist2: float | None = None
         # admit only points clear of stored group-2 points and clear of group
         # 1 by one and a half thresholds while group 1 fits its cap, by one
         # threshold otherwise
         if dist1 > (1.5 * lam if group1_fits else lam):
-            res = self.reps2.offer(point)
+            res = self.reps2.offer(point, scan2)
             dist2 = res.min_dist
             if res.status is OfferStatus.OVERFLOW:
                 self.overflowed = True

@@ -57,9 +57,15 @@ class SolverInstance:
     points stored so far, counted into ``stats``. ``cap2`` bounds the group-2
     set (k by default, as for group 1). Each subclass defines its own
     ``process`` and ``finalize``: the benchmark's tracer wraps them class by
-    class, so inherited ones break ``python -m pytest perfbench``. A subclass
-    names in ``event_groups`` the groups whose update, for now, is only
-    ``_offer_own``."""
+    class, so inherited ones break ``python -m pytest perfbench``.
+
+    ``gates`` maps a group to the scans that decide whether a point of that
+    group can change the rung: (stored coordinates, stop radius) pairs the
+    rung owns, scanned in order. A point within the stop radius of a stored
+    point in any of them leaves the rung unchanged. A point that none of them
+    stops, or whose group has no gate, needs ``process``, which takes the
+    exact scans of the gates, when made, as ``scans``. By default each group's
+    gate is its own set at the threshold, the one set ``_offer_own`` reads."""
 
     def __init__(
         self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
@@ -85,6 +91,7 @@ class SolverInstance:
             self.threshold, metric, cap=spec.k if cap2 is None else cap2, group_filter=2, stats=self.stats
         )
         self.reps = {1: self.reps1, 2: self.reps2}
+        self.gates = {group: ((reps.coords, self.threshold),) for group, reps in self.reps.items()}
         self.overflowed = False
         self.finalized = False
         self.stored_order: list[Point] = []
@@ -118,15 +125,14 @@ class SolverInstance:
 class StreamInstance(SolverInstance):
     """Streaming state for one radius guess over a two-group stream."""
 
-    event_groups = (1, 2)  # either group's set changes only on an uncovered point
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
 
     def process(
-        self, point: Point, probe_other: bool = False, scan: tuple[float, int] | None = None,
+        self, point: Point, probe_other: bool = False, scans: tuple[tuple[float, int], ...] = (),
     ) -> float | None:
-        """Route the point to its group's set by ``_offer_own``. ``scan`` is the
-        caller's ``scan`` of that set, whose evaluations count toward this
-        update."""
+        """Route the point to its group's set by ``_offer_own``. ``scans`` holds
+        the caller's scan of that set, its one gate, whose evaluations count
+        toward this update."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
@@ -135,8 +141,8 @@ class StreamInstance(SolverInstance):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
         budget = len(self.reps1) + len(self.reps2)
         stats = self.stats
-        evals_before = stats.distance_evals - (0 if scan is None else len(self.reps[point.group]))
-        nearest_all = self._offer_own(point, probe_other, scan)
+        evals_before = stats.distance_evals - (len(self.reps[point.group]) if scans else 0)
+        nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
         excess = stats.distance_evals - evals_before - budget
         if excess > stats.update_excess:
             stats.update_excess = excess

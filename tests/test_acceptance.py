@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fairkcenter import (
+    EUCLIDEAN,
     FairnessSpec,
     IndependentSet,
     Ladder,
@@ -16,7 +17,6 @@ from fairkcenter import (
     brute_force_opt,
     check_fairness,
     clustering_cost,
-    distance,
     generate_planted,
     run_known,
 )
@@ -215,10 +215,10 @@ def test_criterion_7_invariant_suite():
             if s.stats.distance_evals - evals0 != before:
                 failures.append((trial, "offer cost"))
         for a, b in itertools.combinations(s.members, 2):
-            if distance(a, b) <= threshold:
+            if EUCLIDEAN(a, b) <= threshold:
                 failures.append((trial, "separation"))
         for p in points:
-            if min(distance(p, q) for q in s.members) > threshold:
+            if min(EUCLIDEAN(p, q) for q in s.members) > threshold:
                 failures.append((trial, "coverage"))
 
     # stand-in distance bound on group-sorted streams
@@ -233,7 +233,7 @@ def test_criterion_7_invariant_suite():
                 break
         for rep_id, stand_in in inst.replacement_of.items():
             rep = next(p for p in inst.reps1.members if p.id == rep_id)
-            if distance(rep, stand_in) > guess:
+            if EUCLIDEAN(rep, stand_in) > guess:
                 failures.append((trial, "stand-in distance"))
 
     # cover-loop progress and budget invariants at the oracle radius

@@ -15,7 +15,6 @@ from fairkcenter import (
     Point,
     check_fairness,
     clustering_cost,
-    distance,
 )
 
 from conftest import pt, stream
@@ -24,7 +23,7 @@ coords3 = st.tuples(*[st.floats(-1e6, 1e6) for _ in range(3)])
 
 
 def test_distance_identity():
-    assert distance(pt(0, 0.0), pt(1, 0.0)) == 0.0
+    assert EUCLIDEAN(pt(0, 0.0), pt(1, 0.0)) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -34,21 +33,21 @@ def test_point_rejects_non_finite_coordinates(bad):
 
 
 def test_distance_one_dimensional():
-    assert distance(pt(0, 0.0), pt(1, 3.0)) == 3.0
+    assert EUCLIDEAN(pt(0, 0.0), pt(1, 3.0)) == 3.0
 
 
 def test_distance_three_four_five():
-    assert distance(pt(0, (0.0, 0.0)), pt(1, (3.0, 4.0))) == 5.0
+    assert EUCLIDEAN(pt(0, (0.0, 0.0)), pt(1, (3.0, 4.0))) == 5.0
 
 
 def test_distance_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        distance(pt(0, (0.0,)), pt(1, (0.0, 0.0)))
+        EUCLIDEAN(pt(0, (0.0,)), pt(1, (0.0, 0.0)))
 
 
 def test_distance_custom_callable():
     manhattan = DistanceMetric.from_callable(lambda a, b: sum(abs(x - y) for x, y in zip(a, b)))
-    assert distance(pt(0, (0.0, 0.0)), pt(1, (3.0, 4.0)), manhattan) == 7.0
+    assert manhattan(pt(0, (0.0, 0.0)), pt(1, (3.0, 4.0))) == 7.0
 
 
 def test_nearest_of_an_empty_list_is_inf():
@@ -172,7 +171,7 @@ def test_cost_ignores_a_nan_distance():
 @given(coords3, coords3, coords3)
 def test_triangle_inequality_euclidean(a, b, c):
     pa, pb, pc = pt(0, a), pt(1, b), pt(2, c)
-    assert distance(pa, pc) <= distance(pa, pb) + distance(pb, pc) + 1e-6
+    assert EUCLIDEAN(pa, pc) <= EUCLIDEAN(pa, pb) + EUCLIDEAN(pb, pc) + 1e-6
 
 
 def test_cost_single_center():

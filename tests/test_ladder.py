@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from fairkcenter import (
     generate_planted,
     run_known,
 )
+from fairkcenter.core import NO_STOP
 from fairkcenter.independent import IndependentSet
 from fairkcenter.ladder import make_instance
 
@@ -424,34 +426,85 @@ def _random_stream(rng, mode):
     return points, FairnessSpec(caps), epsilon
 
 
+# The seeded semi streams never stop a reps2 gate scan at exactly its
+# radius. In this one, at epsilon 1, the grid is 1, 2, 4, ..., 32. The rung
+# at guess 2 (threshold 4) keeps reps1 = {0, 40}, within the group-1 cap,
+# and admits point 20 to reps2. Point 24 is then 16 > 6 from reps1 and
+# exactly 4 from reps2.
+SEMI_REPS2_TIE = (
+    stream([(0.0, 1), (1.0, 1), (2.0, 1), (3.0, 1), (40.0, 1), (41.0, 1), (20.0, 2), (24.0, 2)]),
+    FairnessSpec((2, 2)),
+    1.0,
+)
+
+
+def _dispatch_streams(mode):
+    rng = np.random.default_rng(2026)
+    for _ in range(150):
+        yield _random_stream(rng, mode)
+    if mode == "semi":
+        yield SEMI_REPS2_TIE
+
+
 def _check_event_dispatch_against_the_reference(monkeypatch, mode):
     covers = IndependentSet.covers
+    nearest = DistanceMetric.nearest
     ties = []
+    gate_stops = []
 
     def counting_covers(self, d, idx):
         if idx >= 0 and d == self.threshold:
             ties.append(d)
         return covers(self, d, idx)
 
-    rng = np.random.default_rng(2026)
+    def recording_nearest(self, p, stored, within=NO_STOP):
+        d, idx = nearest(self, p, stored, within)
+        if d <= within and p.group == 2:
+            gate_stops.append((id(stored), within, d))
+        return d, idx
+
     extended = pruned_mid_stream = 0
-    for case in range(150):
-        points, spec, epsilon = _random_stream(rng, mode)
+    reached = collections.Counter()  # the semi group-2 gate outcomes, below the top rung
+    for case, (points, spec, epsilon) in enumerate(_dispatch_streams(mode)):
         ladder = Ladder(spec, epsilon=epsilon, mode=mode)
         reference = ReferenceLadder(spec, epsilon=epsilon, mode=mode)
         with monkeypatch.context() as patch:
             patch.setattr(IndependentSet, "covers", counting_covers)
+            patch.setattr(DistanceMetric, "nearest", recording_nearest)
             for p in points:
                 before = (ladder.bootstrapping, ladder.spawned_count, len(ladder.pruned))
+                lower = list(ladder.instances.values())[:-1]
+                sets = {id(inst.reps1.coords): (inst, "reps1") for inst in lower}
+                sets.update({id(inst.reps2.coords): (inst, "reps2") for inst in lower})
+                standins = [len(getattr(inst, "replacements", ())) for inst in lower]
+                reps2_sizes = [len(inst.reps2) if 2 in inst.gates else None for inst in lower]
+                gate_stops.clear()
                 ladder.observe(p)
                 if not before[0]:
                     extended += ladder.spawned_count > before[1]
                     pruned_mid_stream += len(ladder.pruned) > before[2]
+                if mode != "semi" or p.group != 2:
+                    continue
+                reached["extension during group 2"] += ladder.spawned_count > before[1]
+                for key, within, d in gate_stops:
+                    inst, name = sets[key]
+                    assert within == (1.5 if name == "reps1" else 1.0) * inst.threshold
+                    reached[f"skipped by the {name} gate"] += 1
+                    reached[f"tie at the {name} gate"] += d == within
+                for inst, count, size in zip(lower, standins, reps2_sizes):
+                    reached["stand-in recorded"] += len(inst.replacements) > count
+                    reached["admitted past the gates"] += size is not None and len(inst.reps2) > size
         for p in points:
             reference.observe(p)
         assert _ladder_state(ladder, ladder.finish()) == _ladder_state(reference, reference.finish()), case
     # the streams reach every path the event dispatch must agree on
     assert ties and extended and pruned_mid_stream
+    if mode == "semi":
+        outcomes = (
+            "skipped by the reps1 gate", "skipped by the reps2 gate", "tie at the reps1 gate",
+            "tie at the reps2 gate", "stand-in recorded", "admitted past the gates", "extension during group 2",
+        )
+        assert all(reached[outcome] for outcome in outcomes), reached
 
 
 def test_event_dispatch_matches_the_every_rung_reference(monkeypatch):
@@ -540,6 +593,23 @@ SEMI_GROUP1_SETUP = [(0.0, 1), (1.0, 1), (2.0, 1), (4.0, 1)]
 )
 def test_semi_event_dispatch_refuses_a_bad_point_like_the_reference(setup, bad, message):
     _check_refusal_against_the_reference("semi", setup, bad, message)
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_a_point_of_another_dimension_is_refused_before_any_rung_changes(mode):
+    # group 1 alone bootstraps the ladder, so every rung's group-2 set is
+    # empty and no scan of it meets a stored point to compare dimensions with
+    spec = FairnessSpec((1, 1))
+    setup = [pt(i, (x, 0.0), 1) for i, x in enumerate([0.0, 10.0, 20.0, 35.0])]
+    ladder, untouched = Ladder(spec, mode=mode), Ladder(spec, mode=mode)
+    for p in setup:
+        ladder.observe(p)
+        untouched.observe(p)
+    assert len(ladder.instances) > 1
+    message = r"^dimension mismatch: point 4 has 3 coords, the stream's first point has 2$"
+    with pytest.raises(ValueError, match=message):
+        ladder.observe(pt(4, (1.0, 2.0, 3.0), 2))
+    assert _ladder_state(ladder, ladder.finish()) == _ladder_state(untouched, untouched.finish())
 
 
 def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():

@@ -15,7 +15,6 @@ from fairkcenter import (
     candidate_radii,
     check_fairness,
     clustering_cost,
-    distance,
     generate_planted,
     gonzalez,
 )
@@ -338,7 +337,7 @@ def test_planted_geometry():
     assert [sum(1 for a in anchors if a.group == g) for g in (1, 2)] == [2, 3]
     for i, a in enumerate(anchors):
         for b in anchors[i + 1 :]:
-            assert distance(a, b) >= 5.0 * 2.0
+            assert EUCLIDEAN(a, b) >= 5.0 * 2.0
     assert clustering_cost(planted.points, planted.planted_centers) == pytest.approx(2.0, abs=1e-9)
     assert check_fairness(planted.planted_centers, spec) == []
 
@@ -350,8 +349,8 @@ def test_planted_every_cluster_pins_its_radius():
     planted = generate_planted(spec, 16, 1.0, seed=3, shuffle=False)
     anchors = list(planted.planted_centers)
     for j, anchor in enumerate(anchors):
-        members = [p for p in planted.points if distance(p, anchor) <= 1.0 + 1e-9]
-        best_single = min(max(distance(c, q) for q in members) for c in members)
+        members = [p for p in planted.points if EUCLIDEAN(p, anchor) <= 1.0 + 1e-9]
+        best_single = min(max(EUCLIDEAN(c, q) for q in members) for c in members)
         assert best_single >= 1.0 - 1e-9
 
 

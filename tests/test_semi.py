@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fairkcenter import (
+    EUCLIDEAN,
     FairnessSpec,
     InfeasibleReason,
     SemiInstance,
@@ -10,7 +11,6 @@ from fairkcenter import (
     brute_force_opt,
     check_fairness,
     clustering_cost,
-    distance,
     run_known,
 )
 
@@ -139,7 +139,7 @@ def test_stand_in_distance_bound(rng):
                 break
         for rep_id, stand_in in inst.replacement_of.items():
             rep = next(p for p in inst.reps1.members if p.id == rep_id)
-            assert distance(rep, stand_in) <= guess
+            assert EUCLIDEAN(rep, stand_in) <= guess
         assert len(inst.replacements) <= len(inst.reps1)
 
 
@@ -213,7 +213,7 @@ def test_process_returns_the_nearest_stored_distance_only_when_probing(rng):
         inst = SemiInstance(float(rng.uniform(0.5, 4.0)), spec)
         for p in group_sorted(points):
             stored = inst.reps1.members + inst.reps2.members  # stand-ins are not scanned
-            expected = min((distance(p, q) for q in stored), default=math.inf)
+            expected = min((EUCLIDEAN(p, q) for q in stored), default=math.inf)
             probe = bool(rng.integers(0, 2))
             got = inst.process(p, probe_other=probe)
             if inst.overflowed:

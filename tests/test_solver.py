@@ -15,7 +15,6 @@ from fairkcenter import (
     build_cross_graph,
     check_fairness,
     clustering_cost,
-    distance,
     run_known,
     select_with_both_groups_over,
     select_with_one_group_over,
@@ -289,7 +288,7 @@ def test_process_returns_the_nearest_stored_distance_only_when_probing(rng):
         inst = StreamInstance(float(rng.uniform(0.5, 4.0)), spec)
         for p in points:
             stored = inst.reps[1].members + inst.reps[2].members
-            expected = min((distance(p, q) for q in stored), default=math.inf)
+            expected = min((EUCLIDEAN(p, q) for q in stored), default=math.inf)
             probe = bool(rng.integers(0, 2))
             got = inst.process(p, probe_other=probe)
             if inst.overflowed:
