@@ -23,7 +23,6 @@ from .oracle import (
     GenerationError,
     SizeGuardError,
     brute_force_opt,
-    candidate_radii,
     generate_planted,
     gonzalez,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "StreamOrderError",
     "brute_force_opt",
     "build_cross_graph",
-    "candidate_radii",
     "check_fairness",
     "clustering_cost",
     "generate_planted",

@@ -11,9 +11,17 @@ answer meets the caps and costs at most 5x (general) or 3x (semi) its own
 guess, but the 5(1+epsilon) / 3(1+epsilon) bounds against the optimum hold
 only when the lowest guess does not overshoot it (ROADMAP item 3a).
 
-Guesses that provably undershoot prune themselves when their stored sets
-overflow. When the stream outgrows the largest guess (a point lands beyond
-its covering threshold from everything that guess stored), the grid extends
+A guess is pruned as soon as its rung holds a certificate that it
+undershoots: more than k stored points pairwise more than twice the guess
+apart, which no k centers of that radius can serve. The paper's rule finds
+one when a group's own set passes its cap. A general rung also collects the
+points it stores that are more than its threshold from every collected
+point of the other group (the top rung adds none while it is the top), and
+is pruned at k+1 of them; semi rungs keep the paper's rule. So
+``best_guess`` (the report's ``r_hat``) is the smallest guess that no
+certificate refuted and whose rung finalizes feasibly.
+When the stream outgrows the largest guess (a point lands beyond its
+covering threshold from everything that guess stored), the grid extends
 upward one step at a time, seeding each new instance by replaying the
 stored points of the largest existing one; the slack that replay seeding
 introduces is covered by the grid's step factor.
@@ -114,6 +122,10 @@ class Ladder:
                 f"dimension mismatch: point {point.id} has {len(point.coords)} coords, "
                 f"the stream's first point has {self.dim}"
             )
+        if point.group not in (1, 2):
+            # refused here too: buffered, it would raise only at the replay,
+            # from a later point's observe, and on every one after it
+            raise ValueError(f"point {point.id} has group {point.group}; the ladder expects groups 1 and 2")
         self.points_seen += 1
         if self.bootstrapping:
             self._buffer_point(point)
@@ -163,11 +175,12 @@ class Ladder:
         first scan that stops proves the point changes nothing on that rung.
         When none stops, each scan was the exact one ``process`` would make,
         so ``process`` runs on them; a group with no gate (a semi rung over
-        its group-1 cap, a late group-1 point, or a group outside 1 and 2,
-        which the first rung's ``process`` refuses) takes the full
-        ``process``. The scans' counts are added to ``stats`` once per point,
-        and before any ``process`` call, which reads them for its update
-        excess."""
+        its group-1 cap, or a late group-1 point) takes the full ``process``.
+        The scans' counts are added to ``stats`` once per point, and before
+        any ``process`` call, which reads them for its update excess. A
+        general rung also overflows in ``process`` once its separation
+        certificate holds k+1 points; the top rung, which probes the other
+        group instead, adds none while it is the top."""
         live = list(self.instances.items())
         top_guess, top = live.pop()
         group = point.group
@@ -215,6 +228,9 @@ class Ladder:
         """Add a rung at ``guess`` seeded by replaying ``replay``; a rung the
         replay overflows is retired at once and None is returned."""
         inst = make_instance(self.mode, guess, self.spec, self.metric, self.stats)
+        if self.mode == "general":
+            # semi rungs keep the paper's overflow rule (ROADMAP item 3c)
+            inst.certificate = {1: [], 2: []}
         self.guesses.append(guess)
         for p in replay:
             inst.process(p)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
+from .core import EUCLIDEAN, CenterSet, Coords, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
 from .independent import IndependentSet, OfferStatus
 
 
@@ -123,16 +123,28 @@ class SolverInstance:
 
 
 class StreamInstance(SolverInstance):
-    """Streaming state for one radius guess over a two-group stream."""
+    """Streaming state for one radius guess over a two-group stream.
+
+    ``certificate`` is off (None) unless the ladder turns it on with one
+    empty coordinate list per group. A point stored without ``probe_other``
+    then joins its group's list when it is strictly more than the threshold
+    from every member of the other group's list; it already is from every
+    stored point of its own group. The lists stay pairwise more than twice
+    the guess apart, so no radius-guess clustering with k centers serves two
+    of their members from one center: k+1 members prove the guess is below
+    the optimum, and the instance overflows there, before either set passes
+    its cap. The scan reads at most the other group's stored set, so an
+    update stays within one evaluation per stored point."""
 
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
+    certificate: dict[int, list[Coords]] | None = None
 
     def process(
         self, point: Point, probe_other: bool = False, scans: tuple[tuple[float, int], ...] = (),
     ) -> float | None:
         """Route the point to its group's set by ``_offer_own``. ``scans`` holds
         the caller's scan of that set, its one gate, whose evaluations count
-        toward this update."""
+        toward this update, as do those of the certificate's scan."""
         if self.finalized:
             raise RuntimeError("instance already finalized")
         if self.overflowed:
@@ -143,10 +155,26 @@ class StreamInstance(SolverInstance):
         stats = self.stats
         evals_before = stats.distance_evals - (len(self.reps[point.group]) if scans else 0)
         nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
+        if self.certificate is not None and not probe_other and len(self.stored_order) > budget:  # stored
+            self._certify(point)
         excess = stats.distance_evals - evals_before - budget
         if excess > stats.update_excess:
             stats.update_excess = excess
         return nearest_all
+
+    def _certify(self, point: Point) -> None:
+        """Offer a just-stored point to the certificate; overflow at k+1
+        members. A point at exactly the threshold from a member stays out."""
+        cert = self.certificate
+        other = cert[3 - point.group]
+        self.stats.distance_evals += len(other)
+        d, idx = self.metric.nearest(point, other, self.threshold)
+        if d <= self.threshold:
+            self.stats.evals_skipped += idx  # the scan stopped at idx
+            return
+        cert[point.group].append(point.coords)
+        if len(cert[1]) + len(cert[2]) > self.spec.k:
+            self.overflowed = True
 
     def finalize(self) -> SolveOutcome:
         """Select centers from the stored representatives. One-shot."""

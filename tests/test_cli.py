@@ -296,13 +296,15 @@ def test_unwritable_report_path_reports_on_stdout(tmp_path, capsys):
 
 def test_overflowing_distances_still_get_an_answer(tmp_path, capsys):
     # math.dist overflows to inf between the two huge rows, so the top guess's
-    # covering threshold is inf too; an empty set must not count as covering
+    # covering threshold is inf too; an empty set must not count as covering.
+    # Points 0, 1 and 2 are pairwise more than twice 3.49e307 apart, so the
+    # certificate refutes that rung and a higher one answers at the same cost
     path = write(tmp_path, "huge.csv", "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n")
     rc = main(["solve", "--input", path, "--caps", "1,1"])
     out = capsys.readouterr().out
     assert rc == 0
     report = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-strict JSON constant {name}"))
-    assert sorted(c["id"] for c in report["centers"]) == [2, 3]
+    assert sorted(c["id"] for c in report["centers"]) == [0, 1]
     assert report["cost"] == 1e308
 
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_memory_and_update_contracts_on_planted_run():
     "mode, counters",
     [
         # (total evals, total stored peak, per-rung peak, update excess, spawned, pruned)
-        ("general", (43087, 297, 16, 0, 38, 8)),
+        ("general", (36430, 197, 9, 0, 38, 11)),
         ("semi", (20046, 119, 12, 0, 45, 38)),
     ],
 )
@@ -243,6 +244,73 @@ def test_pruned_guesses_are_reported():
     planted = generate_planted(spec, 160, 1.0, seed=13)
     ladder, _ = run_ladder(planted.points, spec)
     assert len(ladder.pruned) >= 1  # undersized guesses overflowed and died
+
+
+# ----------------------------------------------------------------------
+# the separation certificate
+# ----------------------------------------------------------------------
+# Caps (1, 1), so k = 2 and each own set holds up to 2 points. At epsilon 1
+# the grids are powers of two and hold guess 4 (threshold 8) below the top.
+# "replay": the four points are the bootstrap buffer, which every rung
+# replays. 0, 8.25 and 17 are pairwise more than 8 apart; 8.5 is covered.
+# "dispatch": the buffer leaves guess 4 with a certificate of 0 and 40, and
+# the fifth point reaches it through the dispatch. 20 is more than 8 from
+# both; 32 is exactly 8 from 40.
+CERTIFICATE_STREAMS = {
+    "replay": ([(0.0, 1), (8.25, 2), (17.0, 1), (8.5, 2)], [(0.0, 1), (8.0, 2), (17.0, 1), (8.5, 2)]),
+    "dispatch": (
+        [(0.0, 1), (0.25, 1), (0.5, 2), (40.0, 2), (20.0, 1)],
+        [(0.0, 1), (0.25, 1), (0.5, 2), (40.0, 2), (32.0, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(CERTIFICATE_STREAMS))
+@pytest.mark.parametrize("tie", [False, True], ids=["beyond", "tie"])
+def test_k_plus_1_separated_points_retire_a_rung_within_its_caps(path, tie):
+    spec = FairnessSpec((1, 1))
+    points = stream(CERTIFICATE_STREAMS[path][tie])
+    # the paper's rule alone keeps the rung: neither own set passes its cap
+    alone = StreamInstance(4.0, spec)
+    for p in points:
+        alone.process(p)
+    assert not alone.overflowed
+    ladder = Ladder(spec, epsilon=1.0)
+    for p in points:
+        ladder.observe(p)
+    assert 4.0 in ladder.guesses and 4.0 != ladder.guesses[-1]
+    # a member at exactly the threshold from another is not separated
+    assert (4.0 in ladder.pruned) is not tie
+    assert (4.0 in ladder.instances) is tie
+    assert ladder.worst_update_excess <= 0
+
+
+def test_certificate_prunes_stay_below_the_optimum_on_the_oracle_sweep(monkeypatch):
+    # n 3-10 on a 7x7 grid, caps in {1,2}^2, random stream orders
+    certify = StreamInstance._certify
+    refutations = []
+
+    def counting_certify(self, point):
+        certify(self, point)
+        refutations.append(self.overflowed)
+
+    monkeypatch.setattr(StreamInstance, "_certify", counting_certify)
+    rng = np.random.default_rng(11)
+    epsilon = 0.1
+    for draw in range(2000):
+        n = int(rng.integers(3, 11))
+        points = [Point(i, tuple(float(c) for c in rng.integers(0, 7, size=2)), int(rng.integers(1, 3)))
+                  for i in range(n)]
+        spec = FairnessSpec((int(rng.integers(1, 3)), int(rng.integers(1, 3))))
+        order = [points[i] for i in rng.permutation(n)]
+        r_opt = brute_force_opt(points, spec).r_opt
+        ladder, result = run_ladder(order, spec, epsilon=epsilon)
+        # overflows and certificates alike prove the optimum above the guess
+        assert all(guess < r_opt for guess in ladder.pruned), draw
+        assert check_fairness(result.centers, spec) == [], draw
+        if ladder.guesses[0] <= r_opt:  # the grid overshoots otherwise (ROADMAP item 3a)
+            assert clustering_cost(points, result.centers) <= 5.0 * (1.0 + epsilon) * r_opt, draw
+    assert sum(refutations) > 100  # the sweep reaches the certificate's prunes
 
 
 @pytest.mark.xfail(
@@ -284,7 +352,7 @@ def test_feasibility_is_empirically_monotone_in_the_guess(rng):
     # reported as a warning rather than a failure
     import warnings
 
-    from fairkcenter import candidate_radii
+    from fairkcenter.oracle import candidate_radii
     from conftest import random_two_group_instance
 
     for trial in range(25):
@@ -610,6 +678,28 @@ def test_a_point_of_another_dimension_is_refused_before_any_rung_changes(mode):
     with pytest.raises(ValueError, match=message):
         ladder.observe(pt(4, (1.0, 2.0, 3.0), 2))
     assert _ladder_state(ladder, ladder.finish()) == _ladder_state(untouched, untouched.finish())
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_a_point_of_another_group_is_refused_before_the_buffer_changes(mode):
+    # buffered, it would be refused only by the replay, from every later observe
+    spec = FairnessSpec((1, 1))
+    points = stream([(0.0, 1), (1.0, 2), (2.0, 3), (5.0, 1), (6.0, 2)])
+    if mode == "semi":
+        points = [points[i] for i in (0, 3, 2, 1, 4)]
+    ladder = Ladder(spec, mode=mode)
+    for p in points[:2]:
+        ladder.observe(p)
+    before = (ladder.points_seen, list(ladder.buffer), list(ladder.guesses))
+    stats = dataclasses.replace(ladder.stats)
+    with pytest.raises(ValueError, match=r"^point 2 has group 3; the ladder expects groups 1 and 2$"):
+        ladder.observe(points[2])
+    assert (ladder.points_seen, ladder.buffer, ladder.guesses) == before and ladder.stats == stats
+    for p in points[3:]:
+        ladder.observe(p)
+    result = ladder.finish()
+    assert check_fairness(result.centers, spec) == []
+    assert 2 not in result.centers.ids()
 
 
 def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():

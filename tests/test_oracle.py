@@ -12,12 +12,12 @@ from fairkcenter import (
     GenerationError,
     SizeGuardError,
     brute_force_opt,
-    candidate_radii,
     check_fairness,
     clustering_cost,
     generate_planted,
     gonzalez,
 )
+from fairkcenter.oracle import candidate_radii
 
 from conftest import pt, random_two_group_instance, stream
 
