@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Audit the streaming resource contracts on one planted run.
 
-Prints, for each mode, the stored-point peaks against the per-instance cap,
+Prints, for each mode, the ladder's lowest guess (a certified lower bound
+on the optimal radius) with the cost over it (a certified bound on the
+cost ratio), the stored-point peaks against the per-instance cap,
 the spawned-instance count against the geometric-grid bound, the logical
 distance-evaluation count beside the evaluations actually made (scans that
 reach a covering point stop there), and the worst per-point excess of the
@@ -37,6 +39,8 @@ def audit(n, k, epsilon, seed):
         per_instance_cap = (2 * k + 2) if mode == "general" else (3 * k + 2)
         print(f"== {mode} ==")
         print(f"  ratio                 {cost / planted.planted_r:.3f}")
+        print(f"  lowest guess          {ladder.guesses[0]:.6g}")
+        print(f"  cost / lowest guess   {cost / ladder.guesses[0]:.3f}")
         print(f"  per-instance peak     {ladder.per_instance_stored_peak:5d}  (cap {per_instance_cap})")
         print(f"  total stored peak     {ladder.total_stored_peak:5d}")
         print(f"  instances spawned     {ladder.spawned_count:5d}  (grid bound {ladder.grid_bound})")

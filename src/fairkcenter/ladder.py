@@ -2,14 +2,39 @@
 
 The optimal radius is unknown up front, so a geometric grid of guesses runs
 side by side, each guess owning one solver instance fed every point. The
-grid starts at the smallest positive pairwise gap among the first k+2
-buffered points. That lowest guess is not always at or below the optimal
-radius. When the buffer holds k+1 distinct points, two of them share an
-optimal cluster, but that only puts the gap at or below twice the optimum;
-when duplicates leave k distinct points, the gap bounds nothing. So every
-answer meets the caps and costs at most 5x (general) or 3x (semi) its own
-guess, but the 5(1+epsilon) / 3(1+epsilon) bounds against the optimum hold
-only when the lowest guess does not overshoot it (ROADMAP item 3a).
+ladder first buffers the stream until it holds 2(k+1) distinct locations.
+A point that repeats a buffered location of its own group is dropped there:
+whatever covers the first copy on a rung covers it too, so no rung changes
+on it. (A semi-mode group-1 repeat after a group-2 point is kept, so that
+the replay refuses it as the stream-order error it is.) Farthest-first
+(Gonzalez 1985) then picks k+1 of the distinct locations; the (k+1)-th pick
+lies some d from the earlier picks, so all k+1 picks are pairwise at least
+d apart, two of them share an optimal cluster, and d/2 is at most the
+optimal radius. The grid starts at that certified lower bound and climbs by
+(1+epsilon) steps until a guess's covering threshold spans the buffer.
+Every grid guess is seeded by replaying the buffer.
+
+The lowest guess obeys these rules:
+
+* 2(k+1) distinct locations arrive, or ``finish`` finds at least k+1: the
+  grid starts at d/2, which holds whatever the optimum.
+* ``finish`` finds 2 to k distinct locations: the grid starts at half the
+  smallest positive gap, a lower bound whenever the optimum is positive (a
+  point served from a center elsewhere is at least that gap away from it).
+* ``finish`` finds one location: no gap exists, and the stream collapses to
+  a single deduplicated center at radius zero.
+* d/2 rounds to zero (d is the smallest subnormal): the grid starts at
+  ``math.ulp(0.0)``, which every positive optimum reaches.
+* d overflows to inf (the true distance exceeds the float range): the bound
+  is half the largest float, never inf. A rung there cannot take three
+  times its guess, so the run raises ``OverflowError``.
+
+With the lowest guess at or below the optimum, the smallest grid guess at
+or above the optimum is within (1+epsilon) of it, and the paper's lemma
+makes that rung feasible, so every answer costs at most 5(1+epsilon)
+(general) or 3(1+epsilon) (semi) times the optimum (semi mode with a zero
+group-1 cap excepted: ROADMAP item 3c), besides meeting the caps and
+costing at most 5x (3x) its own guess.
 
 A guess is pruned as soon as its rung holds a certificate that it
 undershoots: more than k stored points pairwise more than twice the guess
@@ -29,20 +54,26 @@ introduces is covered by the grid's step factor.
 NOTES
 -----
 * Memory stays at O(k) stored points per instance and one grid instance per
-  (1+epsilon) step between the lowest and highest guess.
-* A fully degenerate stream (every point coincident) never yields a positive
-  gap; it short-circuits to a single deduplicated center at radius zero.
+  (1+epsilon) step between the lowest and highest guess; the buffer holds
+  at most two points (one per group) at each of its 2(k+1) locations.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats
 from .semi import SemiInstance
 from .solver import SolveOutcome, SolverInstance, StreamInstance
+
+# the bootstrap buffers this many distinct locations per center before the
+# grid spawns: more pushes the farthest-first bound up, and a higher lowest
+# guess spawns fewer rungs below the optimum, but a buffer of 3, 4 or 6 per
+# center lowered the planted stored peak by only 1-4 points more than 2
+_SITES_PER_CENTER = 2
 
 _UNSERVABLE = "no feasible center set at any radius: the caps leave some observed group unservable"
 
@@ -92,9 +123,10 @@ class Ladder:
         self.metric = metric
         self.epsilon = float(epsilon)
         self.mode = mode
-        self.buffer: list[Point] = []
-        self._buffer_min_gap = math.inf  # smallest positive pairwise distance
-        self._buffer_diameter = 0.0
+        self.buffer: list[Point] = []  # what every initial rung replays, in stream order
+        self._sites: list[Point] = []  # the buffer's first point at each distinct location
+        self._site_groups: list[set[int]] = []  # the groups buffered at each site
+        self._site_dist: list[list[float]] = []  # pairwise distances between the sites
         self.bootstrapping = True
         # live rungs by guess, in insertion order, which is ascending: every
         # spawn sits above all earlier guesses, so the last one is the top
@@ -129,7 +161,7 @@ class Ladder:
         self.points_seen += 1
         if self.bootstrapping:
             self._buffer_point(point)
-            if len(self.buffer) >= self.spec.k + 2 and self._buffer_min_gap < math.inf:
+            if len(self._sites) >= _SITES_PER_CENTER * (self.spec.k + 1):
                 self._spawn_initial_grid()
         else:
             self._dispatch(point)
@@ -137,23 +169,56 @@ class Ladder:
         stats.stored_peak = max(stats.stored_peak, len(self.buffer) + stats.stored)
 
     def _buffer_point(self, point: Point) -> None:
-        self.stats.distance_evals += len(self.buffer)
-        for other in self.buffer:
-            d = self.metric(point, other)
-            if 0.0 < d < self._buffer_min_gap:
-                self._buffer_min_gap = d
-            if d > self._buffer_diameter:
-                self._buffer_diameter = d
+        """Buffer the point, measuring it against each site once; a point at
+        distance zero from a site that already holds its group is dropped,
+        except a semi-mode group-1 point after group 2 began, which only the
+        replay may refuse."""
+        sites = self._sites
+        self.stats.distance_evals += len(sites)
+        row = [self.metric(point, site) for site in sites]
+        if 0.0 in row:
+            groups = self._site_groups[row.index(0.0)]
+            if point.group in groups and not (
+                self.mode == "semi" and point.group == 1 and any(p.group == 2 for p in self.buffer)
+            ):
+                return
+            groups.add(point.group)
+        else:
+            for d, other in zip(row, self._site_dist):
+                other.append(d)
+            row.append(0.0)
+            self._site_dist.append(row)
+            sites.append(point)
+            self._site_groups.append({point.group})
         self.buffer.append(point)
 
+    def _lowest_guess(self) -> float:
+        """A certified lower bound on the optimal radius from the sites (at
+        least two), by the rules in the module docstring. Farthest-first
+        reads the buffer's distances, so it evaluates none of its own."""
+        dist = self._site_dist
+        k = self.spec.k
+        if len(dist) > k:
+            # the first site is the first pick; after k picks, near[j] is site
+            # j's distance to the nearest pick, and the farthest site is the
+            # (k+1)-th pick
+            near = dist[0]
+            for _ in range(k - 1):
+                far = dist[near.index(max(near))]
+                near = [min(a, b) for a, b in zip(near, far)]
+            bound = max(near)
+        else:
+            bound = min(d for row in dist for d in row if d > 0.0)
+        return max(min(bound, sys.float_info.max) / 2.0, math.ulp(0.0))
+
     def _spawn_initial_grid(self) -> None:
-        """Grid from the smallest positive buffer gap up to a guess whose
-        covering threshold spans the whole buffer, or up to the last guess
-        whose radii stay finite; every instance replays the full buffer, so
-        none of them carries any seeding slack."""
-        low = self._buffer_min_gap
-        grid = [low]
-        while 2.0 * grid[-1] < self._buffer_diameter:
+        """Grid from the lowest guess up to a guess whose covering threshold
+        spans the whole buffer, or up to the last guess whose radii stay
+        finite; every instance replays the full buffer, so none of them
+        carries any seeding slack."""
+        diameter = max(max(row) for row in self._site_dist)
+        grid = [self._lowest_guess()]
+        while 2.0 * grid[-1] < diameter:
             step = self._next_guess(grid[-1])
             if 3.0 * step == math.inf:
                 break  # a rung there raises OverflowError, so only extension may reach it
@@ -162,32 +227,30 @@ class Ladder:
             self._spawn(guess, self.buffer)
         self.bootstrapping = False
         seed = self.buffer
-        self.buffer = []
+        self.buffer, self._sites, self._site_groups, self._site_dist = [], [], [], []
         if not self.instances:
             # every initial guess overflowed on the buffer itself
             self._extend_grid(seed, pending=None)
 
-    def _dispatch(self, point: Point) -> None:
-        """Feed the point to every live rung, the top one last.
+    def _feed(self, point: Point, rungs: list[tuple[float, SolverInstance]]) -> None:
+        """Feed the point to each (guess, rung) of ``rungs``, retiring a rung
+        that overflows.
 
-        A rung below the top scans the point's ``gates`` in order with the
-        kernel, each stopping at the first stored point within its radius. The
-        first scan that stops proves the point changes nothing on that rung.
-        When none stops, each scan was the exact one ``process`` would make,
-        so ``process`` runs on them; a group with no gate (a semi rung over
-        its group-1 cap, or a late group-1 point) takes the full ``process``.
-        The scans' counts are added to ``stats`` once per point, and before
-        any ``process`` call, which reads them for its update excess. A
-        general rung also overflows in ``process`` once its separation
-        certificate holds k+1 points; the top rung, which probes the other
-        group instead, adds none while it is the top."""
-        live = list(self.instances.items())
-        top_guess, top = live.pop()
+        A rung scans the point's ``gates`` in order with the kernel, each
+        stopping at the first stored point within its radius. The first scan
+        that stops proves the point changes nothing on that rung. When none
+        stops, each scan was the exact one ``process`` would make, so
+        ``process`` runs on them; a group with no gate (a semi rung over its
+        group-1 cap, or a late group-1 point) takes the full ``process``. The
+        scans' counts are added to ``stats`` once per point, and before any
+        ``process`` call, which reads them for its update excess. A general
+        rung also overflows in ``process`` once its separation certificate
+        holds k+1 points."""
         group = point.group
         nearest = self.metric.nearest
         stats = self.stats
         logical = skipped = 0
-        for guess, inst in live:
+        for guess, inst in rungs:
             scans = ()
             for coords, within in inst.gates.get(group, ()):
                 logical += len(coords)
@@ -205,6 +268,14 @@ class Ladder:
                     self._retire(guess, self.instances.pop(guess))
         stats.distance_evals += logical
         stats.evals_skipped += skipped
+
+    def _dispatch(self, point: Point) -> None:
+        """Feed the point to every live rung: those below the top through
+        ``_feed``, then the top rung, which probes the other group instead of
+        collecting certificate points while it is the top."""
+        live = list(self.instances.items())
+        top_guess, top = live.pop()
+        self._feed(point, live)
         # the top rung also probes the other group: the grid-extension test
         # needs the nearest stored distance over both
         nearest_all = top.process(point, probe_other=True)
@@ -214,8 +285,11 @@ class Ladder:
             # it stored and then sees the point that broke it
             self._extend_grid(list(top.stored_order), pending=point)
         elif nearest_all > top.threshold:
-            # the stream outgrew the top guess; the point itself was stored,
-            # so the replay seed already contains it
+            # the stream outgrew the top guess. A general rung stored the
+            # point, so the replay seed holds it. A semi rung whose group 1
+            # fits its cap does not store a group-2 point within 1.5
+            # thresholds of reps1, so the seed lacks such a point; its reps1
+            # neighbour is replayed instead (ROADMAP item 3c)
             self._extend_grid(list(top.stored_order), pending=None)
 
     def _next_guess(self, guess: float) -> float:
@@ -225,19 +299,20 @@ class Ladder:
         return max(guess * (1.0 + self.epsilon), math.nextafter(guess, math.inf))
 
     def _spawn(self, guess: float, replay: list[Point]) -> SolverInstance | None:
-        """Add a rung at ``guess`` seeded by replaying ``replay``; a rung the
-        replay overflows is retired at once and None is returned."""
+        """Add a rung at ``guess`` seeded by feeding it each point of
+        ``replay`` through its gates; a rung the replay overflows is retired
+        at once and None is returned."""
         inst = make_instance(self.mode, guess, self.spec, self.metric, self.stats)
         if self.mode == "general":
             # semi rungs keep the paper's overflow rule (ROADMAP item 3c)
             inst.certificate = {1: [], 2: []}
         self.guesses.append(guess)
+        self.instances[guess] = inst  # above every live guess, so it is the top
+        rung = [(guess, inst)]
         for p in replay:
-            inst.process(p)
+            self._feed(p, rung)
             if inst.overflowed:
-                self._retire(guess, inst)
                 return None
-        self.instances[guess] = inst
         return inst
 
     def _extend_grid(self, seed: list[Point], pending: Point | None) -> SolverInstance:
@@ -285,10 +360,9 @@ class Ladder:
         if self.points_seen == 0:
             raise ValueError("empty stream")
         if self.bootstrapping:
-            if self._buffer_min_gap < math.inf:
-                self._spawn_initial_grid()
-            else:
+            if len(self._sites) < 2:
                 return self._degenerate_result()
+            self._spawn_initial_grid()
         for guess, inst in self.instances.items():
             outcome = inst.finalize()
             if outcome.feasible:

@@ -308,3 +308,55 @@ def test_criterion_8_planted_oracle_consistency():
         if abs(r_opt - planted_r) > 1e-9:
             failures.append((trial, r_opt, planted_r))
     conclude(8, "exhaustive optimum equals the planted radius on 50 seeded instances", failures)
+
+
+# ----------------------------------------------------------------------
+# criterion 9: the ladder's bounds against the exhaustive optimum
+# ----------------------------------------------------------------------
+ORACLE_SWEEP_DRAWS = 3000
+
+
+@pytest.fixture(scope="module")
+def oracle_sweep_draws():
+    """Seeded draws of 3-10 points on a 7x7 integer grid, so duplicates and
+    ties occur, with random groups, caps in {1,2}^2, a random stream order
+    and the exhaustive optimum. Draws with a zero optimum are left out: the
+    grid starts above zero (ROADMAP item 8)."""
+    rng = np.random.default_rng(11)
+    draws = []
+    for draw in range(ORACLE_SWEEP_DRAWS):
+        n = int(rng.integers(3, 11))
+        points = [pt(i, tuple(float(c) for c in rng.integers(0, 7, size=2)), int(rng.integers(1, 3)))
+                  for i in range(n)]
+        spec = FairnessSpec((int(rng.integers(1, 3)), int(rng.integers(1, 3))))
+        order = [points[i] for i in rng.permutation(n)]
+        r_opt = brute_force_opt(points, spec).r_opt
+        if r_opt > 0:
+            draws.append((draw, order, spec, r_opt))
+    return draws
+
+
+@pytest.mark.parametrize("mode, factor", [("general", 5.0), ("semi", 3.0)])
+def test_criterion_9_ladder_bounds_against_the_oracle(oracle_sweep_draws, mode, factor):
+    failures = []
+    worst = 1.0
+    for draw, order, spec, r_opt in oracle_sweep_draws:
+        points = sorted(order, key=lambda p: p.group) if mode == "semi" else order
+        ladder = Ladder(spec, epsilon=LADDER_EPSILON, mode=mode)
+        for p in points:
+            ladder.observe(p)
+        result = ladder.finish()
+        cost = clustering_cost(points, result.centers)
+        worst = max(worst, result.best_guess / r_opt)
+        if check_fairness(result.centers, spec):
+            failures.append((draw, "caps violated"))
+        if result.best_guess > (1.0 + LADDER_EPSILON) * r_opt:
+            failures.append((draw, f"best guess {result.best_guess} > (1+eps) * {r_opt}"))
+        if cost > factor * (1.0 + LADDER_EPSILON) * r_opt:
+            failures.append((draw, f"cost {cost} > {factor}(1+eps) * {r_opt}"))
+    conclude(
+        9,
+        f"{mode} ladder within (1+eps) of the optimum in its guess and {factor:g}(1+eps) in its cost",
+        failures,
+        f"{len(oracle_sweep_draws)} draws, worst guess ratio {worst:.3f}",
+    )

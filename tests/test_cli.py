@@ -336,6 +336,29 @@ def test_an_overflowing_cost_is_reported_as_an_overflow(tmp_path, capsys, mode):
     assert "overflowed the float range" in payload["error"]["message"]
 
 
+def test_duplicates_do_not_lift_the_lowest_guess_above_the_optimum(tmp_path, capsys):
+    # the optimum is 0.1 (centers 0 and 100.1). The first k+2 = 4 rows hold
+    # only two locations, 100 apart, so a grid started at their smallest gap
+    # answered r_hat 100 at cost 100.1; farthest-first over the distinct
+    # locations puts the third pick 0.1 from the first two
+    path = write(tmp_path, "dups.csv", "x,group\n0,1\n0,2\n100,1\n100,2\n0.1,1\n100.1,2\n")
+    rc = main(["solve", "--input", path, "--caps", "1,1"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["r_hat"] <= 0.11
+    assert report["cost"] <= 0.1 * 5.5
+
+
+def test_a_subnormal_gap_does_not_stretch_the_grid(tmp_path, capsys):
+    # 0 and 5e-324 are the closest pair, but farthest-first starts the grid
+    # at half of 10 instead of at 5e-324, which spawned 7821 rungs
+    path = write(tmp_path, "subnormal.csv", "x,group\n0,1\n5e-324,2\n10,1\n20,2\n")
+    rc = main(["solve", "--input", path, "--caps", "1,1"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["instances"]["spawned"] < 20
+
+
 HUGE_CSV = "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n"
 
 

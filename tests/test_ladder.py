@@ -37,22 +37,31 @@ def run_ladder(points, spec, mode="general", epsilon=0.1):
 # bootstrap
 # ----------------------------------------------------------------------
 def test_bootstrap_buffers_before_spawning():
-    spec = FairnessSpec((1, 1))  # k+2 = 4
+    spec = FairnessSpec((1, 1))  # 2(k+1) = 6 distinct locations
     ladder = Ladder(spec)
-    for p in stream([(0.0, 1), (7.0, 2), (3.0, 1)]):
+    rows = [(0.0, 1), (7.0, 2), (3.0, 1), (3.0, 2), (3.0, 1), (12.0, 2), (20.0, 1), (0.0, 1)]
+    for p in stream(rows):
         ladder.observe(p)
+    # five locations: the repeat of 3 in group 2 stays, the group-1 repeats
+    # of 3 and 0 are dropped
     assert ladder.bootstrapping and not ladder.instances
-    ladder.observe(pt(3, 10.0, 2))
-    assert not ladder.bootstrapping and ladder.instances
+    assert [p.id for p in ladder.buffer] == [0, 1, 2, 3, 5, 6]
+    assert ladder.points_seen == 8
+    ladder.observe(pt(8, 30.0, 2))
+    assert not ladder.bootstrapping and ladder.instances and not ladder.buffer
 
 
-def test_lowest_guess_is_smallest_positive_buffer_gap():
-    spec = FairnessSpec((1, 1))
-    ladder = Ladder(spec)
-    for p in stream([(0.0, 1), (7.0, 2), (3.0, 1), (3.0, 2)]):
-        ladder.observe(p)
-    # pairwise gaps: 7, 3, 3, 4, 4, 0 -> smallest positive is 3
-    assert ladder.guesses[0] == 3.0
+def test_lowest_guess_is_half_the_farthest_first_distance():
+    # farthest-first over the 6 distinct locations picks 0, then 21; 10 is
+    # 10 from both, the farthest from the picks, so the k+1 = 3 picks are
+    # pairwise at least 10 apart
+    rows = [(0.0, 1), (7.0, 2), (3.0, 1), (3.0, 2), (10.0, 1), (20.0, 2), (21.0, 1)]
+    ladder, _ = run_ladder(stream(rows), FairnessSpec((1, 1)))
+    assert ladder.guesses[0] == 5.0
+    # a stream that ends with fewer than k+1 = 5 distinct locations starts
+    # at half the smallest positive gap, 3
+    ladder, _ = run_ladder(stream(rows[:4]), FairnessSpec((2, 2)))
+    assert ladder.guesses[0] == 1.5
 
 
 def test_grid_steps_are_geometric():
@@ -165,16 +174,16 @@ def test_semi_mode_planted_run():
 # ----------------------------------------------------------------------
 def test_far_point_extends_the_grid_upward():
     spec = FairnessSpec((1, 1))
-    points = stream([(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2)])
+    points = stream([(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1), (5.0, 2)])
     ladder = Ladder(spec)
     for p in points:
         ladder.observe(p)
     high_before = ladder.guesses[-1]
-    ladder.observe(pt(4, 500.0, 1))
+    ladder.observe(pt(6, 500.0, 1))
     assert ladder.guesses[-1] > high_before
     result = ladder.finish()
     assert check_fairness(result.centers, spec) == []
-    all_points = points + [pt(4, 500.0, 1)]
+    all_points = points + [pt(6, 500.0, 1)]
     assert clustering_cost(all_points, result.centers) <= 5.0 * result.best_guess
 
 
@@ -217,8 +226,8 @@ def test_memory_and_update_contracts_on_planted_run():
     "mode, counters",
     [
         # (total evals, total stored peak, per-rung peak, update excess, spawned, pruned)
-        ("general", (36430, 197, 9, 0, 38, 11)),
-        ("semi", (20046, 119, 12, 0, 45, 38)),
+        ("general", (36893, 201, 9, 0, 31, 3)),
+        ("semi", (21399, 77, 12, 0, 28, 20)),
     ],
 )
 def test_run_counters_are_pinned(mode, counters):
@@ -249,18 +258,27 @@ def test_pruned_guesses_are_reported():
 # ----------------------------------------------------------------------
 # the separation certificate
 # ----------------------------------------------------------------------
-# Caps (1, 1), so k = 2 and each own set holds up to 2 points. At epsilon 1
-# the grids are powers of two and hold guess 4 (threshold 8) below the top.
-# "replay": the four points are the bootstrap buffer, which every rung
-# replays. 0, 8.25 and 17 are pairwise more than 8 apart; 8.5 is covered.
+# Caps (1, 1), so k = 2, each own set holds up to 2 points, and the first
+# six distinct locations are the bootstrap buffer, which every rung
+# replays. In each buffer farthest-first picks the first point and the one
+# farthest from it, and a third point lies exactly 8 from them, so at
+# epsilon 1 the grid is 4, 8, 16, ... and holds guess 4 (threshold 8) below
+# the top.
+# "replay" (in the plane, since on a line three points pairwise more than 8
+# apart would put the third pick more than 8 away): (0, 0), (16, 4.25) and
+# (16, -4) are pairwise more than 8 apart; (16, 4) is exactly 8 from
+# (16, -4). (20, 0) and (1, 0) are covered, and (8, 0) is exactly 8 from
+# (0, 0).
 # "dispatch": the buffer leaves guess 4 with a certificate of 0 and 40, and
-# the fifth point reaches it through the dispatch. 20 is more than 8 from
+# the seventh point reaches it through the dispatch. 20 is more than 8 from
 # both; 32 is exactly 8 from 40.
 CERTIFICATE_STREAMS = {
-    "replay": ([(0.0, 1), (8.25, 2), (17.0, 1), (8.5, 2)], [(0.0, 1), (8.0, 2), (17.0, 1), (8.5, 2)]),
-    "dispatch": (
-        [(0.0, 1), (0.25, 1), (0.5, 2), (40.0, 2), (20.0, 1)],
-        [(0.0, 1), (0.25, 1), (0.5, 2), (40.0, 2), (32.0, 1)],
+    "replay": tuple(
+        [((0.0, 0.0), 1), ((16.0, y), 2), ((16.0, -4.0), 1), ((20.0, 0.0), 1), ((8.0, 0.0), 2), ((1.0, 0.0), 1)]
+        for y in (4.25, 4.0)
+    ),
+    "dispatch": tuple(
+        [(0.0, 1), (0.25, 1), (0.5, 2), (40.0, 2), (8.0, 1), (39.0, 2), (x, 1)] for x in (20.0, 32.0)
     ),
 }
 
@@ -308,7 +326,7 @@ def test_certificate_prunes_stay_below_the_optimum_on_the_oracle_sweep(monkeypat
         # overflows and certificates alike prove the optimum above the guess
         assert all(guess < r_opt for guess in ladder.pruned), draw
         assert check_fairness(result.centers, spec) == [], draw
-        if ladder.guesses[0] <= r_opt:  # the grid overshoots otherwise (ROADMAP item 3a)
+        if r_opt > 0:  # a zero optimum needs a rung at guess 0 (ROADMAP item 8)
             assert clustering_cost(points, result.centers) <= 5.0 * (1.0 + epsilon) * r_opt, draw
     assert sum(refutations) > 100  # the sweep reaches the certificate's prunes
 
@@ -495,13 +513,15 @@ def _random_stream(rng, mode):
 
 
 # The seeded semi streams never stop a reps2 gate scan at exactly its
-# radius. In this one, at epsilon 1, the grid is 1, 2, 4, ..., 32. The rung
-# at guess 2 (threshold 4) keeps reps1 = {0, 40}, within the group-1 cap,
-# and admits point 20 to reps2. Point 24 is then 16 > 6 from reps1 and
-# exactly 4 from reps2.
+# radius. In this one the first six points are the bootstrap buffer:
+# farthest-first picks 0 and 20, and 5 lies 5 from them, so at epsilon 1 the
+# grid is 2.5, 5, 10. The rung at guess 2.5 (threshold 5) keeps reps1 = {0},
+# within the group-1 cap, and admits point 20 to reps2. Point 25 then
+# reaches it through the dispatch, 25 > 7.5 from reps1 and exactly 5 from
+# reps2.
 SEMI_REPS2_TIE = (
-    stream([(0.0, 1), (1.0, 1), (2.0, 1), (3.0, 1), (40.0, 1), (41.0, 1), (20.0, 2), (24.0, 2)]),
-    FairnessSpec((2, 2)),
+    stream([(0.0, 1), (1.0, 1), (2.0, 1), (3.0, 1), (20.0, 2), (5.0, 2), (25.0, 2)]),
+    FairnessSpec((1, 1)),
     1.0,
 )
 
@@ -527,6 +547,8 @@ def _check_event_dispatch_against_the_reference(monkeypatch, mode):
 
     def recording_nearest(self, p, stored, within=NO_STOP):
         d, idx = nearest(self, p, stored, within)
+        if d == within:
+            ties.append(d)  # a gate, or the certificate, meets a point at exactly its radius
         if d <= within and p.group == 2:
             gate_stops.append((id(stored), within, d))
         return d, idx
@@ -555,6 +577,8 @@ def _check_event_dispatch_against_the_reference(monkeypatch, mode):
                     continue
                 reached["extension during group 2"] += ladder.spawned_count > before[1]
                 for key, within, d in gate_stops:
+                    if key not in sets:
+                        continue  # a spawn's replay through the gates of a rung it adds
                     inst, name = sets[key]
                     assert within == (1.5 if name == "reps1" else 1.0) * inst.threshold
                     reached[f"skipped by the {name} gate"] += 1
@@ -644,11 +668,11 @@ def _check_refusal_against_the_reference(mode, setup, bad, message):
     [(pt(99, 1.0, 3), "expects groups 1 and 2"), (pt(99, (1.0, 2.0), 1), "dimension mismatch")],
 )
 def test_event_dispatch_refuses_a_bad_point_like_the_reference(bad, message):
-    setup = [(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1)]
+    setup = [(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1), (5.0, 2), (6.0, 1)]
     _check_refusal_against_the_reference("general", setup, bad, message)
 
 
-SEMI_GROUP1_SETUP = [(0.0, 1), (1.0, 1), (2.0, 1), (4.0, 1)]
+SEMI_GROUP1_SETUP = [(0.0, 1), (1.0, 1), (2.0, 1), (4.0, 1), (5.0, 1), (7.0, 1)]
 
 
 @pytest.mark.parametrize(
@@ -668,15 +692,15 @@ def test_a_point_of_another_dimension_is_refused_before_any_rung_changes(mode):
     # group 1 alone bootstraps the ladder, so every rung's group-2 set is
     # empty and no scan of it meets a stored point to compare dimensions with
     spec = FairnessSpec((1, 1))
-    setup = [pt(i, (x, 0.0), 1) for i, x in enumerate([0.0, 10.0, 20.0, 35.0])]
+    setup = [pt(i, (x, 0.0), 1) for i, x in enumerate([0.0, 10.0, 20.0, 35.0, 45.0, 60.0])]
     ladder, untouched = Ladder(spec, mode=mode), Ladder(spec, mode=mode)
     for p in setup:
         ladder.observe(p)
         untouched.observe(p)
     assert len(ladder.instances) > 1
-    message = r"^dimension mismatch: point 4 has 3 coords, the stream's first point has 2$"
+    message = r"^dimension mismatch: point 6 has 3 coords, the stream's first point has 2$"
     with pytest.raises(ValueError, match=message):
-        ladder.observe(pt(4, (1.0, 2.0, 3.0), 2))
+        ladder.observe(pt(6, (1.0, 2.0, 3.0), 2))
     assert _ladder_state(ladder, ladder.finish()) == _ladder_state(untouched, untouched.finish())
 
 
@@ -702,6 +726,21 @@ def test_a_point_of_another_group_is_refused_before_the_buffer_changes(mode):
     assert 2 not in result.centers.ids()
 
 
+@pytest.mark.parametrize("ends", ["in the replay", "in finish"])
+def test_a_late_group1_repeat_in_the_bootstrap_buffer_is_refused(ends):
+    # point 3 repeats the buffered point 0 of its group, which the buffer
+    # drops otherwise, but it comes after group 2 began; the sixth distinct
+    # location spawns the grid, whose replay refuses it, and a shorter
+    # stream reaches the same replay from finish
+    points = stream([(0.0, 1), (3.0, 1), (5.0, 2), (0.0, 1), (7.0, 2), (9.0, 2), (11.0, 2)])
+    ladder = Ladder(FairnessSpec((1, 1)), mode="semi")
+    with pytest.raises(StreamOrderError, match=r"^point 3: group-1 point after group-2 streaming began"):
+        for p in points if ends == "in the replay" else points[:-1]:
+            ladder.observe(p)
+        assert ends == "in finish" and ladder.bootstrapping
+        ladder.finish()
+
+
 def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():
     # a top rung spawned mid-group-2 from a stored set without group-2 points
     # has not seen group 2, so it alone cannot refuse a late group-1 point;
@@ -716,7 +755,8 @@ def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():
             ladder = cls(spec, epsilon=epsilon, mode="semi")
             for p in points:
                 ladder.observe(p)
-            fresh_top = not list(ladder.instances.values())[-1].group2_started
+            # a stream with fewer than 2(k+1) distinct locations is still buffered
+            fresh_top = bool(ladder.instances) and not list(ladder.instances.values())[-1].group2_started
             try:
                 ladder.observe(late)
                 outcomes.append(None)

@@ -44,3 +44,13 @@ def test_resource_audit_prints_the_performed_count_beside_the_logical_one():
                          proc.stdout, re.M)
     assert len(logical) == 2, proc.stdout  # general and semi
     assert all(0 < int(performed) < int(total) for total, performed in logical)
+
+
+def test_resource_audit_prints_a_lowest_guess_at_or_below_the_planted_radius():
+    argv = [sys.executable, str(SCRIPTS / "resource_audit.py"), "--n", "300", "--k", "6"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lowest = re.findall(r"^  lowest guess          (\S+)\n  cost / lowest guess   (\S+)$", proc.stdout, re.M)
+    assert len(lowest) == 2, proc.stdout  # general and semi
+    # the planted radius 1.0 is the optimum, and the lowest guess bounds it
+    assert all(0 < float(guess) <= 1.0 and float(ratio) > 0 for guess, ratio in lowest)
