@@ -10,7 +10,6 @@ optimum.
 from .core import (
     EUCLIDEAN,
     CenterSet,
-    Dataset,
     DistanceMetric,
     FairnessSpec,
     Point,
@@ -39,7 +38,6 @@ from .solver import (
 __all__ = [
     "EUCLIDEAN",
     "CenterSet",
-    "Dataset",
     "DistanceMetric",
     "FairnessSpec",
     "GenerationError",

@@ -28,10 +28,6 @@ class Point:
         if self.group < 1:
             raise ValueError(f"group labels are 1-based, got {self.group}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
 
 @dataclass(frozen=True)
 class DistanceMetric:
@@ -244,33 +240,3 @@ class RunStats:
         skipped, so a full scan, which skips none, updates one counter."""
         return self.distance_evals - self.evals_skipped
 
-
-@dataclass(frozen=True)
-class Dataset:
-    """A fixed point collection with a declared dimension and group count."""
-
-    points: tuple[Point, ...]
-    dim: int
-    m: int
-
-    @classmethod
-    def from_points(cls, points: Iterable[Point], m: int | None = None) -> "Dataset":
-        pts = tuple(points)
-        if not pts:
-            raise ValueError("empty dataset")
-        dim = pts[0].dim
-        groups = set()
-        for p in pts:
-            if p.dim != dim:
-                raise ValueError(f"point {p.id}: dimension {p.dim} differs from {dim}")
-            groups.add(p.group)
-        m_eff = max(groups) if m is None else m
-        if max(groups) > m_eff:
-            raise ValueError(f"group label {max(groups)} exceeds declared group count {m_eff}")
-        return cls(pts, dim, m_eff)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)

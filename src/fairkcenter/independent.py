@@ -57,15 +57,8 @@ class IndependentSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def scan(self, p: Point) -> tuple[float, int]:
-        """Nearest stored point: (distance, index), (inf, -1) when empty, by
-        ``metric.nearest`` over the stored coordinates; its one evaluation
-        per stored point is counted in ``stats``."""
-        self.stats.distance_evals += len(self.coords)
-        return self.metric.nearest(p, self.coords)
-
     def covers(self, d: float, idx: int) -> bool:
-        """Whether a ``scan`` result covers its point: a point at exactly the
+        """Whether a scan result covers its point: a point at exactly the
         threshold stays covered, and only a real nearest point can cover,
         even under an infinite threshold."""
         return idx >= 0 and d <= self.threshold
@@ -85,18 +78,22 @@ class IndependentSet:
     def nearest(self, p: Point) -> tuple[float, Point | None]:
         """Nearest stored point and the distance to it; (inf, None) when
         empty. Same evaluation cost as ``min_dist``."""
-        d, idx = self.scan(p)
+        self.stats.distance_evals += len(self.coords)
+        d, idx = self.metric.nearest(p, self.coords)
         return d, (self.members[idx] if idx >= 0 else None)
 
     def offer(self, p: Point, scan: tuple[float, int] | None = None) -> OfferResult:
-        """Cover, store or refuse ``p``. ``scan`` is the caller's own ``scan(p)``
-        of this set, taken since its last change, so the point is not
-        scanned twice."""
+        """Cover, store or refuse ``p``. ``scan`` is the caller's own counted
+        ``metric.nearest(p, coords)``, taken since the set's last change, so
+        the point is not scanned twice; without it the set scans and counts."""
         if self.overflowed:
             raise RuntimeError("offer to an overflowed set")
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
-        d, idx = self.scan(p) if scan is None else scan
+        if scan is None:
+            self.stats.distance_evals += len(self.coords)
+            scan = self.metric.nearest(p, self.coords)
+        d, idx = scan
         if self.covers(d, idx):
             return OfferResult(OfferStatus.COVERED, d)
         if self.cap is not None and len(self.members) >= self.cap:

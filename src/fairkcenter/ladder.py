@@ -5,8 +5,8 @@ side by side, each guess owning one solver instance fed every point. The
 ladder first buffers the stream until it holds 2(k+1) distinct locations.
 A point that repeats a buffered location of its own group is dropped there:
 whatever covers the first copy on a rung covers it too, so no rung changes
-on it. (A semi-mode group-1 repeat after a group-2 point is kept, so that
-the replay refuses it as the stream-order error it is.) Farthest-first
+on it. (In semi mode a group-1 point after a group-2 point never reaches
+the buffer: ``observe`` refuses it first.) Farthest-first
 (Gonzalez 1985) then picks k+1 of the distinct locations; the (k+1)-th pick
 lies some d from the earlier picks, so all k+1 picks are pairwise at least
 d apart, two of them share an optimal cluster, and d/2 is at most the
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats
-from .semi import SemiInstance
+from .semi import SemiInstance, StreamOrderError
 from .solver import SolveOutcome, SolverInstance, StreamInstance
 
 # the bootstrap buffers this many distinct locations per center before the
@@ -135,6 +135,7 @@ class Ladder:
         self.pruned: list[float] = []
         self.points_seen = 0
         self.dim: int | None = None  # the stream's dimension, set by its first point
+        self._group2_started = False  # set by the first group-2 point in semi mode
         self.stats = RunStats()  # shared by every rung, live or pruned
         self.finished = False
 
@@ -158,6 +159,11 @@ class Ladder:
             # refused here too: buffered, it would raise only at the replay,
             # from a later point's observe, and on every one after it
             raise ValueError(f"point {point.id} has group {point.group}; the ladder expects groups 1 and 2")
+        if self.mode == "semi":
+            if point.group == 2:
+                self._group2_started = True
+            elif self._group2_started:  # refused before the buffer or any rung changes
+                raise StreamOrderError(f"point {point.id}: group-1 point after group-2 streaming began")
         self.points_seen += 1
         if self.bootstrapping:
             self._buffer_point(point)
@@ -170,17 +176,13 @@ class Ladder:
 
     def _buffer_point(self, point: Point) -> None:
         """Buffer the point, measuring it against each site once; a point at
-        distance zero from a site that already holds its group is dropped,
-        except a semi-mode group-1 point after group 2 began, which only the
-        replay may refuse."""
+        distance zero from a site that already holds its group is dropped."""
         sites = self._sites
         self.stats.distance_evals += len(sites)
         row = [self.metric(point, site) for site in sites]
         if 0.0 in row:
             groups = self._site_groups[row.index(0.0)]
-            if point.group in groups and not (
-                self.mode == "semi" and point.group == 1 and any(p.group == 2 for p in self.buffer)
-            ):
+            if point.group in groups:
                 return
             groups.add(point.group)
         else:

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import EUCLIDEAN, CenterSet, Dataset, DistanceMetric, FairnessSpec, Point
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point
 
 
 class SizeGuardError(ValueError):
@@ -36,7 +36,7 @@ _BLOCK_ROWS = 1024
 
 
 def brute_force_opt(
-    points: Iterable[Point] | Dataset,
+    points: Iterable[Point],
     spec: FairnessSpec,
     metric: DistanceMetric = EUCLIDEAN,
     max_n: int = 16,
@@ -160,7 +160,7 @@ def gonzalez(points: Sequence[Point], k: int, metric: DistanceMetric = EUCLIDEAN
 
 @dataclass(frozen=True)
 class PlantedDataset:
-    points: Dataset
+    points: tuple[Point, ...]
     planted_r: float
     planted_centers: CenterSet
     seed: int
@@ -193,13 +193,17 @@ def generate_planted(
     k = spec.k
     if n < k:
         raise ValueError(f"n={n} below the number of planted centers k={k}")
-    if planted_r <= 0:
-        raise ValueError("planted radius must be positive")
-    if separation < 4.0:
-        raise ValueError("separation below 4 cannot pin the optimum")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    if not 0.0 < planted_r < math.inf:
+        raise ValueError(f"planted radius must be positive and finite, got {planted_r}")
+    if not 4.0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and at least 4 (below 4 cannot pin the optimum), got {separation}")
     rng = np.random.default_rng(seed)
     gap = separation * planted_r
     side = gap * max(2.0, 2.0 * math.ceil(k ** (1.0 / dim)))
+    if side == math.inf:
+        raise ValueError(f"radius {planted_r} and separation {separation} overflow the sampling square's side")
     budget = max_attempts if max_attempts is not None else 1000 * k
     anchors: list[np.ndarray] = []
     attempts = 0
@@ -246,5 +250,4 @@ def generate_planted(
     order = rng.permutation(n) if shuffle else np.arange(n)
     pts = [Point(i, records[order[i]][0], records[order[i]][1]) for i in range(n)]
     planted = [pts[i] for i in range(n) if records[order[i]][2]]
-    dataset = Dataset.from_points(pts, m=spec.m)
-    return PlantedDataset(dataset, float(planted_r), CenterSet(tuple(planted)), seed)
+    return PlantedDataset(tuple(pts), float(planted_r), CenterSet(tuple(planted)), seed)

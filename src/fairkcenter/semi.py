@@ -31,12 +31,16 @@ class SemiInstance(SolverInstance):
         stats: RunStats | None = None,
     ) -> None:
         super().__init__(radius_guess, spec, metric, stats, cap2=spec.caps[1])
-        self.replacements: list[Point] = []
         self.replacement_of: dict[int, Point] = {}  # reps1 member id -> group-2 stand-in
         self.group2_started = False
         # group 1 keeps the general solver's plain set until group 2 starts;
         # the first group-2 point sets the group-2 gates
         self.gates = {1: ((self.reps1.coords, self.threshold),)}
+
+    @property
+    def replacements(self) -> list[Point]:
+        """The recorded group-2 stand-ins, in the order recorded."""
+        return list(self.replacement_of.values())
 
     def process(
         self, point: Point, probe_other: bool = False, scans: tuple[tuple[float, int], ...] = (),
@@ -44,17 +48,7 @@ class SemiInstance(SolverInstance):
         """Feed one point; ``probe_other`` is as in ``_offer_own``. ``scans``
         are the caller's exact scans of the point's ``gates``, whose
         evaluations count toward this update."""
-        if self.finalized:
-            raise RuntimeError("instance already finalized")
-        if self.overflowed:
-            raise RuntimeError("instance already overflowed")
-        if point.group not in (1, 2):
-            raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        budget = len(self.reps1) + len(self.reps2)  # each path scans each set at most once
-        stats = self.stats
-        evals_before = stats.distance_evals
-        if scans:
-            evals_before -= sum(len(coords) for coords, _ in self.gates[point.group])
+        limit = self._begin_update(point, scans)
         if point.group == 1:
             if self.group2_started:
                 raise StreamOrderError(
@@ -64,9 +58,7 @@ class SemiInstance(SolverInstance):
             nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
         else:
             nearest_all = self._process_group2(point, probe_other, scans)
-        excess = stats.distance_evals - evals_before - budget
-        if excess > stats.update_excess:
-            stats.update_excess = excess
+        self._end_update(limit)
         return nearest_all
 
     def _process_group2(
@@ -108,7 +100,6 @@ class SemiInstance(SolverInstance):
         if not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
             if nearest_rep.id not in self.replacement_of:
                 self.replacement_of[nearest_rep.id] = point
-                self.replacements.append(point)
                 self._store(point)
         if not probe_other:
             return None
@@ -119,11 +110,7 @@ class SemiInstance(SolverInstance):
     def finalize(self) -> SolveOutcome:
         """Assemble the centers; swaps surplus group-1 representatives for
         their stand-ins when group 1 exceeded its cap. One-shot."""
-        if self.finalized:
-            raise RuntimeError("finalize is one-shot")
-        self.finalized = True
-        if self.overflowed:
-            self.path = "overflow"
+        if self._begin_finalize():
             return SolveOutcome.infeasible(InfeasibleReason.STREAM_OVERFLOW)
         k1 = self.spec.caps[0]
         if len(self.reps1) <= k1:

@@ -55,9 +55,11 @@ class SolverInstance:
     """Lifecycle bookkeeping both one-pass solvers share: the radius guess
     and its separation threshold, one representative set per group, and the
     points stored so far, counted into ``stats``. ``cap2`` bounds the group-2
-    set (k by default, as for group 1). Each subclass defines its own
-    ``process`` and ``finalize``: the benchmark's tracer wraps them class by
-    class, so inherited ones break ``python -m pytest perfbench``.
+    set (k by default, as for group 1). The update skeleton is shared too:
+    ``_begin_update`` / ``_end_update`` and ``_begin_finalize``. Each subclass
+    still defines its own ``process`` and ``finalize`` around them: the
+    benchmark's tracer wraps ``vars(cls)`` entries class by class, so
+    inherited ones break ``python -m pytest perfbench``.
 
     ``gates`` maps a group to the scans that decide whether a point of that
     group can change the rung: (stored coordinates, stop radius) pairs the
@@ -106,6 +108,34 @@ class SolverInstance:
         self.stats.stored += 1
         self.stats.instance_peak = max(self.stats.instance_peak, len(self.stored_order))
 
+    def _begin_update(self, point: Point, scans: tuple[tuple[float, int], ...]) -> int:
+        """Refuse a point the instance cannot take; return the evaluation count
+        past which the update exceeds its budget of one per stored point (each
+        path scans each set at most once), net of the caller's gate ``scans``."""
+        if self.finalized or self.overflowed:
+            raise RuntimeError(f"instance already {'finalized' if self.finalized else 'overflowed'}")
+        if point.group not in (1, 2):
+            raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
+        limit = self.stats.distance_evals + len(self.reps1) + len(self.reps2)
+        for coords, _ in self.gates[point.group] if scans else ():  # a loop: sum() of a generator is slower
+            limit -= len(coords)
+        return limit
+
+    def _end_update(self, limit: int) -> None:
+        """Keep the update's evaluations past ``limit`` if the worst excess yet."""
+        excess = self.stats.distance_evals - limit
+        if excess > self.stats.update_excess:
+            self.stats.update_excess = excess
+
+    def _begin_finalize(self) -> bool:
+        """Mark the instance finalized (one-shot); True, ``path`` set, if it overflowed."""
+        if self.finalized:
+            raise RuntimeError("finalize is one-shot")
+        self.finalized = True
+        if self.overflowed:
+            self.path = "overflow"
+        return self.overflowed
+
     def _offer_own(self, point: Point, probe_other: bool, scan: tuple[float, int] | None) -> float | None:
         """Offer the point to its group's set (on ``scan`` when given). With
         ``probe_other`` the other group's set is scanned too, so the work stays
@@ -145,21 +175,12 @@ class StreamInstance(SolverInstance):
         """Route the point to its group's set by ``_offer_own``. ``scans`` holds
         the caller's scan of that set, its one gate, whose evaluations count
         toward this update, as do those of the certificate's scan."""
-        if self.finalized:
-            raise RuntimeError("instance already finalized")
-        if self.overflowed:
-            raise RuntimeError("instance already overflowed")
-        if point.group not in (1, 2):
-            raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        budget = len(self.reps1) + len(self.reps2)
-        stats = self.stats
-        evals_before = stats.distance_evals - (len(self.reps[point.group]) if scans else 0)
+        limit = self._begin_update(point, scans)
+        stored = len(self.stored_order)
         nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
-        if self.certificate is not None and not probe_other and len(self.stored_order) > budget:  # stored
+        if self.certificate is not None and not probe_other and len(self.stored_order) > stored:
             self._certify(point)
-        excess = stats.distance_evals - evals_before - budget
-        if excess > stats.update_excess:
-            stats.update_excess = excess
+        self._end_update(limit)
         return nearest_all
 
     def _certify(self, point: Point) -> None:
@@ -178,11 +199,7 @@ class StreamInstance(SolverInstance):
 
     def finalize(self) -> SolveOutcome:
         """Select centers from the stored representatives. One-shot."""
-        if self.finalized:
-            raise RuntimeError("finalize is one-shot")
-        self.finalized = True
-        if self.overflowed:
-            self.path = "overflow"
+        if self._begin_finalize():
             return SolveOutcome.infeasible(InfeasibleReason.STREAM_OVERFLOW)
         g1, g2 = self.reps[1], self.reps[2]
         k1, k2 = self.spec.caps

@@ -126,6 +126,27 @@ def test_gen_then_oracle_round_trip(tmp_path, capsys):
     assert oracle_report["r_opt"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--radius", "1.0", "--dim", "0"], "dim must be at least 1, got 0"),
+        (["--radius", "1.0", "--separation", "nan"], "separation must be finite and at least 4"),
+        (["--radius", "nan"], "planted radius must be positive and finite, got nan"),
+        (["--radius", "1e308"], "radius 1e+308 and separation 4.0 overflow the sampling square's side"),
+    ],
+)
+def test_gen_refuses_an_argument_the_generator_cannot_use(tmp_path, capsys, argv, message):
+    # each used to fail inside numpy, or divide by zero, with a message naming no argument
+    csv_path = tmp_path / "planted.csv"
+    rc = main(["gen", "--caps", "1,1", "--n", "10", *argv, "--out", str(csv_path)])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "ValueError"
+    assert payload["error"]["message"].startswith(message)
+    assert not csv_path.exists()
+
+
 def test_solve_mode_on_planted_csv(tmp_path, capsys):
     csv_path = str(tmp_path / "planted.csv")
     main(["gen", "--caps", "2,2", "--n", "80", "--radius", "1.0", "--seed", "6", "--out", csv_path])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fairkcenter import (
     EUCLIDEAN,
     CenterSet,
-    Dataset,
     DistanceMetric,
     FairnessSpec,
     Point,
@@ -265,17 +264,6 @@ def test_fairness_spec_takes_whole_number_floats_and_numpy_integers():
 def test_center_set_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
         CenterSet((pt(0, 0.0), pt(0, 1.0)))
-
-
-def test_dataset_validation():
-    with pytest.raises(ValueError):
-        Dataset.from_points([])
-    with pytest.raises(ValueError, match="dimension"):
-        Dataset.from_points([pt(0, (0.0,)), pt(1, (0.0, 1.0))])
-    ds = Dataset.from_points(stream([(0.0, 1), (1.0, 2)]))
-    assert (ds.dim, ds.m, len(ds)) == (1, 2, 2)
-    with pytest.raises(ValueError, match="group label"):
-        Dataset.from_points(stream([(0.0, 1), (1.0, 2)]), m=1)
 
 
 def test_point_validation():

@@ -726,19 +726,42 @@ def test_a_point_of_another_group_is_refused_before_the_buffer_changes(mode):
     assert 2 not in result.centers.ids()
 
 
+def _check_a_late_group1_point_is_refused(rows, at, late):
+    """Stream ``rows`` into two semi ladders and offer ``late`` to one of
+    them before row ``at``: it is refused there, and the two ladders end
+    alike, with the same points seen."""
+    spec = FairnessSpec((1, 1))
+    ladder, untouched = Ladder(spec, mode="semi"), Ladder(spec, mode="semi")
+    points = stream(rows)
+    for p in points[:at]:
+        ladder.observe(p)
+        untouched.observe(p)
+    with pytest.raises(StreamOrderError, match=rf"^point {late.id}: group-1 point after group-2 streaming began"):
+        ladder.observe(late)
+    for p in points[at:]:
+        ladder.observe(p)
+        untouched.observe(p)
+    assert ladder.points_seen == untouched.points_seen == len(rows)
+    assert _ladder_state(ladder, ladder.finish()) == _ladder_state(untouched, untouched.finish())
+
+
 @pytest.mark.parametrize("ends", ["in the replay", "in finish"])
 def test_a_late_group1_repeat_in_the_bootstrap_buffer_is_refused(ends):
-    # point 3 repeats the buffered point 0 of its group, which the buffer
-    # drops otherwise, but it comes after group 2 began; the sixth distinct
-    # location spawns the grid, whose replay refuses it, and a shorter
-    # stream reaches the same replay from finish
-    points = stream([(0.0, 1), (3.0, 1), (5.0, 2), (0.0, 1), (7.0, 2), (9.0, 2), (11.0, 2)])
-    ladder = Ladder(FairnessSpec((1, 1)), mode="semi")
-    with pytest.raises(StreamOrderError, match=r"^point 3: group-1 point after group-2 streaming began"):
-        for p in points if ends == "in the replay" else points[:-1]:
-            ladder.observe(p)
-        assert ends == "in finish" and ladder.bootstrapping
-        ladder.finish()
+    # point 99 repeats the buffered point 0 of its group, which the buffer
+    # drops otherwise, but it comes after group 2 began. It used to be
+    # buffered and refused only by a replay: the one the sixth distinct
+    # location spawns or, in a shorter stream, the one in finish
+    rows = [(0.0, 1), (3.0, 1), (5.0, 2), (7.0, 2), (9.0, 2), (11.0, 2)]
+    _check_a_late_group1_point_is_refused(rows if ends == "in the replay" else rows[:-1], 3, pt(99, 0.0, 1))
+
+
+@pytest.mark.parametrize("at", [3, 7])
+def test_a_late_group1_point_is_refused_before_the_ladder_changes(at):
+    # buffered (at 3), a new location used to raise only at the replay two
+    # points later, and every observe after that spawned one more rung under
+    # a repeated guess; past the buffer (at 7) it still counted as seen
+    rows = [(0.0, 1), (3.0, 1), (5.0, 2), (7.0, 2), (9.0, 2), (11.0, 2), (13.0, 2), (15.0, 2)]
+    _check_a_late_group1_point_is_refused(rows, at, pt(99, 1.0, 1))
 
 
 def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():

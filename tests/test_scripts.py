@@ -1,14 +1,23 @@
-"""The experiment scripts still run against the package, at small sizes."""
+"""The experiment scripts still run against the package, at small sizes,
+and the benchmark's tracer still installs on it."""
 
+import importlib
+import importlib.util
 import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from fairkcenter import FairnessSpec, Ladder
+
+from conftest import stream
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize(
@@ -54,3 +63,47 @@ def test_resource_audit_prints_a_lowest_guess_at_or_below_the_planted_radius():
     assert len(lowest) == 2, proc.stdout  # general and semi
     # the planted radius 1.0 is the optimum, and the lowest guess bounds it
     assert all(0 < float(guess) <= 1.0 and float(ratio) > 0 for guess, ratio in lowest)
+
+
+def test_the_benchmark_tracer_still_installs(monkeypatch):
+    # the tracer patches vars(owner)[name] owner by owner, so a traced method
+    # moved off its class breaks the benchmark; this catches it in tier 1
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench as it is
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = ("core", "independent", "solver", "semi", "ladder", "oracle", "cli")
+    fk = SimpleNamespace(**{m: importlib.import_module(f"fairkcenter.{m}") for m in modules})
+    owners = [vars(fk)[m] for m in modules]
+    owners += [v for m in owners[:] for v in vars(m).values() if isinstance(v, type) and v.__module__ == m.__name__]
+    before = [dict(vars(owner)) for owner in owners]
+
+    def changed():
+        return {
+            f"{owner.__name__}.{name}"
+            for owner, was in zip(owners, before)
+            for name in was.keys() | vars(owner).keys()
+            if vars(owner).get(name) is not was.get(name)
+        }
+
+    rows = [(0.0, 1), (9.0, 2), (3.0, 1), (14.0, 2), (21.0, 1), (30.0, 2), (2.0, 1), (40.0, 2), (1.0, 2)]
+    tracer = tracing.Tracer()
+    with tracer.installed(fk):
+        patched = changed()
+        semi_rows = sorted(rows, key=lambda row: row[1])
+        for i, (mode, points) in enumerate([("general", stream(rows)), ("semi", stream(semi_rows))]):
+            with tracer.solve_span(i):
+                ladder = Ladder(FairnessSpec((1, 1)), mode=mode)
+                for p in points:
+                    ladder.observe(p)
+                ladder.finish()
+    assert not changed()  # every patched attribute is back
+    traced = {
+        "StreamInstance.process": "solver.process", "StreamInstance.finalize": "solver.finalize",
+        "SemiInstance.process": "semi.process", "SemiInstance.finalize": "semi.finalize",
+        "IndependentSet.offer": "independent.offer", "IndependentSet.nearest": "independent.nearest",
+        "IndependentSet.min_dist": "independent.min_dist",
+    }
+    assert traced.keys() <= patched
+    calls = tracer.totals()[0]
+    assert all(calls[tracing.ID[span]] for span in traced.values()), dict(zip(tracing.NAMES, calls))
