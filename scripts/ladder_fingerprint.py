@@ -14,7 +14,10 @@ equal output means bit-identical results. To compare two source trees::
     cmp before.jsonl after.jsonl
 
 ``--root`` names the tree whose ``src`` and ``perfbench`` are used; it
-defaults to the checkout holding this script.
+defaults to the checkout holding this script. ``--results`` prints only the
+result fields (workload, seed, dataset, ``best_guess``, cost and
+``center_ids``), so a change that should keep every answer while moving
+counters is checked by one ``cmp``.
 """
 
 import argparse
@@ -25,6 +28,9 @@ import tempfile
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave the imported trees as they are
+
+
+RESULT_FIELDS = ("workload", "seed", "dataset", "best_guess", "cost", "center_ids")
 
 
 def fingerprint(fk, w, seed, index, path):
@@ -66,6 +72,7 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2], help="benchmark seeds (default: 1 2)")
     parser.add_argument("--n", type=int, help="points per dataset (default: the workload's)")
     parser.add_argument("--pool", type=int, help="datasets per seed (default: the workload's)")
+    parser.add_argument("--results", action="store_true", help="print only the result fields, not the counters")
     args = parser.parse_args()
 
     sys.path.insert(0, str(args.root / "perfbench"))
@@ -80,7 +87,10 @@ def main():
             with tempfile.TemporaryDirectory() as workdir:
                 inputs, _ = workloads.setup_planted(fk, w, seed, Path(workdir))
                 for index, inp in enumerate(inputs):
-                    print(json.dumps(fingerprint(fk, w, seed, index, inp.path)), flush=True)
+                    line = fingerprint(fk, w, seed, index, inp.path)
+                    if args.results:
+                        line = {field: line[field] for field in RESULT_FIELDS}
+                    print(json.dumps(line), flush=True)
 
 
 if __name__ == "__main__":

@@ -218,6 +218,23 @@ def clustering_cost(
     return worst
 
 
+def farthest_first(row: Callable[[int], Sequence[float]], picks: int) -> tuple[list[int], list[float]]:
+    """Farthest-first traversal (Gonzalez 1985) from index 0: up to ``picks``
+    indices, each the first one farthest from the picks before it, and every
+    index's distance to its nearest pick. ``row(i)`` gives index i's
+    distances to all indices and is read once per pick. Stops early once
+    every index coincides with a pick."""
+    chosen = [0]
+    near = list(row(0))
+    while len(chosen) < picks:
+        far = near.index(max(near))
+        if near[far] == 0.0:
+            break
+        chosen.append(far)
+        near = [min(a, b) for a, b in zip(near, row(far))]
+    return chosen, near
+
+
 @dataclass(slots=True)
 class RunStats:
     """The counters the memory and update-time contracts check, and the

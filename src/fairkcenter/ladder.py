@@ -39,17 +39,28 @@ costing at most 5x (3x) its own guess.
 A guess is pruned as soon as its rung holds a certificate that it
 undershoots: more than k stored points pairwise more than twice the guess
 apart, which no k centers of that radius can serve. The paper's rule finds
-one when a group's own set passes its cap. A general rung also collects the
-points it stores that are more than its threshold from every collected
-point of the other group (the top rung adds none while it is the top), and
-is pruned at k+1 of them; semi rungs keep the paper's rule. So
-``best_guess`` (the report's ``r_hat``) is the smallest guess that no
-certificate refuted and whose rung finalizes feasibly.
-When the stream outgrows the largest guess (a point lands beyond its
-covering threshold from everything that guess stored), the grid extends
-upward one step at a time, seeding each new instance by replaying the
-stored points of the largest existing one; the slack that replay seeding
-introduces is covered by the grid's step factor.
+one when a group's own set passes its cap. A general rung, the top
+included, also collects the points it stores that are more than its
+threshold from every collected point of the other group, and is pruned at
+k+1 of them; semi rungs keep the paper's rule. So ``best_guess`` (the
+report's ``r_hat``) is the smallest guess that no certificate refuted and
+whose rung finalizes feasibly.
+Every live rung takes each point through its gates. When the top rung
+stores the point in its own group's set, or overflows, the grid extends
+upward one step at a time, seeding each new instance by replaying what the
+top stored (then the point, if not stored); the grid's step factor covers
+the slack that replay seeding introduces. The trigger this replaced, a
+point beyond the top's threshold from all it stored, cost a scan of the
+other group's set. It differs in two ways:
+
+* A general top also extends on a point it stores within its threshold of
+  the other group: a superset of the old triggers. The extra rungs sit
+  above all others and are seeded like any extension, the point included.
+* A semi top whose group 1 fits its cap does not admit a group-2 point
+  within 1.5 thresholds of ``reps1``, so it no longer extends on one beyond
+  one threshold of both sets. Its union answer keeps every ``reps1``
+  member, so it serves that point within three guesses, its own bound;
+  and the old extension's seed, what the top stored, lacked the point.
 
 NOTES
 -----
@@ -65,7 +76,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, farthest_first
 from .semi import SemiInstance, StreamOrderError
 from .solver import SolveOutcome, SolverInstance, StreamInstance
 
@@ -199,16 +210,10 @@ class Ladder:
         least two), by the rules in the module docstring. Farthest-first
         reads the buffer's distances, so it evaluates none of its own."""
         dist = self._site_dist
-        k = self.spec.k
-        if len(dist) > k:
-            # the first site is the first pick; after k picks, near[j] is site
-            # j's distance to the nearest pick, and the farthest site is the
-            # (k+1)-th pick
-            near = dist[0]
-            for _ in range(k - 1):
-                far = dist[near.index(max(near))]
-                near = [min(a, b) for a, b in zip(near, far)]
-            bound = max(near)
+        if len(dist) > self.spec.k:
+            # after k picks the farthest site, max(near) from them, is the
+            # (k+1)-th pick; the sites are distinct, so none stops early
+            bound = max(farthest_first(dist.__getitem__, self.spec.k)[1])
         else:
             bound = min(d for row in dist for d in row if d > 0.0)
         return max(min(bound, sys.float_info.max) / 2.0, math.ulp(0.0))
@@ -272,27 +277,16 @@ class Ladder:
         stats.evals_skipped += skipped
 
     def _dispatch(self, point: Point) -> None:
-        """Feed the point to every live rung: those below the top through
-        ``_feed``, then the top rung, which probes the other group instead of
-        collecting certificate points while it is the top."""
-        live = list(self.instances.items())
-        top_guess, top = live.pop()
-        self._feed(point, live)
-        # the top rung also probes the other group: the grid-extension test
-        # needs the nearest stored distance over both
-        nearest_all = top.process(point, probe_other=True)
-        if top.overflowed:
-            self._retire(top_guess, self.instances.pop(top_guess))
-            # the top guess just proved too small: its successor replays what
-            # it stored and then sees the point that broke it
-            self._extend_grid(list(top.stored_order), pending=point)
-        elif nearest_all > top.threshold:
-            # the stream outgrew the top guess. A general rung stored the
-            # point, so the replay seed holds it. A semi rung whose group 1
-            # fits its cap does not store a group-2 point within 1.5
-            # thresholds of reps1, so the seed lacks such a point; its reps1
-            # neighbour is replayed instead (ROADMAP item 3c)
-            self._extend_grid(list(top.stored_order), pending=None)
+        """Feed the point to every live rung through ``_feed``. When the top
+        rung stored it in its own group's set or overflowed, extend the grid
+        from what the top stored, then the point unless the top stored it."""
+        top = next(reversed(self.instances.values()))
+        own = top.reps[point.group]
+        size = len(own)
+        self._feed(point, list(self.instances.items()))
+        stored = len(own) > size
+        if stored or top.overflowed:
+            self._extend_grid(list(top.stored_order), pending=None if stored else point)
 
     def _next_guess(self, guess: float) -> float:
         """One grid step up. Among subnormal numbers a (1+epsilon) factor can

@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, farthest_first
 
 
 class SizeGuardError(ValueError):
@@ -141,21 +141,8 @@ def gonzalez(points: Sequence[Point], k: int, metric: DistanceMetric = EUCLIDEAN
     pts = list(points)
     if not pts:
         raise ValueError("empty dataset")
-    centers = [pts[0]]
-    nearest = [metric(p, centers[0]) for p in pts]
-    while len(centers) < k:
-        far_idx = 0
-        for i in range(1, len(pts)):
-            if nearest[i] > nearest[far_idx]:  # strict: ties keep the earliest point
-                far_idx = i
-        if nearest[far_idx] == 0.0:
-            break
-        centers.append(pts[far_idx])
-        for i in range(len(pts)):
-            d = metric(pts[i], centers[-1])
-            if d < nearest[i]:
-                nearest[i] = d
-    return CenterSet(tuple(centers))
+    chosen, _ = farthest_first(lambda i: [metric(p, pts[i]) for p in pts], k)
+    return CenterSet(tuple(pts[i] for i in chosen))
 
 
 @dataclass(frozen=True)
@@ -202,8 +189,12 @@ def generate_planted(
     rng = np.random.default_rng(seed)
     gap = separation * planted_r
     side = gap * max(2.0, 2.0 * math.ceil(k ** (1.0 / dim)))
-    if side == math.inf:
-        raise ValueError(f"radius {planted_r} and separation {separation} overflow the sampling square's side")
+    if not math.isfinite(dim * side * side):
+        # the anchor check's norm sums dim squared gaps of up to side each; an
+        # inf norm would pass every separation test
+        raise ValueError(
+            f"radius {planted_r} and separation {separation} overflow the sampling square's side or squared diagonal"
+        )
     budget = max_attempts if max_attempts is not None else 1000 * k
     anchors: list[np.ndarray] = []
     attempts = 0

@@ -15,7 +15,6 @@ the optimum.
 from __future__ import annotations
 
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
-from .independent import OfferStatus
 from .solver import InfeasibleReason, SolveOutcome, SolverInstance
 
 
@@ -42,12 +41,9 @@ class SemiInstance(SolverInstance):
         """The recorded group-2 stand-ins, in the order recorded."""
         return list(self.replacement_of.values())
 
-    def process(
-        self, point: Point, probe_other: bool = False, scans: tuple[tuple[float, int], ...] = (),
-    ) -> float | None:
-        """Feed one point; ``probe_other`` is as in ``_offer_own``. ``scans``
-        are the caller's exact scans of the point's ``gates``, whose
-        evaluations count toward this update."""
+    def process(self, point: Point, scans: tuple[tuple[float, int], ...] = ()) -> None:
+        """Feed one point. ``scans`` are the caller's exact scans of the
+        point's ``gates``, whose evaluations count toward this update."""
         limit = self._begin_update(point, scans)
         if point.group == 1:
             if self.group2_started:
@@ -55,15 +51,12 @@ class SemiInstance(SolverInstance):
                     f"point {point.id}: group-1 point after group-2 streaming began; "
                     "this solver requires all group-1 points first"
                 )
-            nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
+            self._offer_own(point, scans[0] if scans else None)
         else:
-            nearest_all = self._process_group2(point, probe_other, scans)
+            self._process_group2(point, scans)
         self._end_update(limit)
-        return nearest_all
 
-    def _process_group2(
-        self, point: Point, probe_other: bool, scans: tuple[tuple[float, int], ...],
-    ) -> float | None:
+    def _process_group2(self, point: Point, scans: tuple[tuple[float, int], ...]) -> None:
         lam = self.threshold
         group1_fits = len(self.reps1) <= self.spec.caps[0]
         if not self.group2_started:
@@ -81,31 +74,19 @@ class SemiInstance(SolverInstance):
         else:
             dist1, nearest_rep = self.reps1.nearest(point)
             scan2 = None
-        dist2: float | None = None
         # admit only points clear of stored group-2 points and clear of group
         # 1 by one and a half thresholds while group 1 fits its cap, by one
         # threshold otherwise
         if dist1 > (1.5 * lam if group1_fits else lam):
-            res = self.reps2.offer(point, scan2)
-            dist2 = res.min_dist
-            if res.status is OfferStatus.OVERFLOW:
-                self.overflowed = True
-                return None
-            if res.status is OfferStatus.ADDED:
-                self._store(point)
-        # with group 1 over its cap, the point may independently become the
+            self._offer_own(point, scan2)
+        # with group 1 over its cap, a point not offered may instead become the
         # stand-in for one stored group-1 representative. Only the nearest one
         # can qualify: representatives sit farther than a threshold apart, so
         # no two can both be within half a threshold of the point.
-        if not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
+        elif not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
             if nearest_rep.id not in self.replacement_of:
                 self.replacement_of[nearest_rep.id] = point
                 self._store(point)
-        if not probe_other:
-            return None
-        if dist2 is None:
-            dist2 = self.reps2.min_dist(point)
-        return min(dist1, dist2)
 
     def finalize(self) -> SolveOutcome:
         """Assemble the centers; swaps surplus group-1 representatives for

@@ -67,7 +67,9 @@ class SolverInstance:
     point in any of them leaves the rung unchanged. A point that none of them
     stops, or whose group has no gate, needs ``process``, which takes the
     exact scans of the gates, when made, as ``scans``. By default each group's
-    gate is its own set at the threshold, the one set ``_offer_own`` reads."""
+    gate is its own set at the threshold, the one set ``_offer_own`` reads.
+    The ladder feeds every rung, the top included, this way; ``process``
+    returns nothing, and the ladder reads what changed from the sets."""
 
     def __init__(
         self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
@@ -136,32 +138,25 @@ class SolverInstance:
             self.path = "overflow"
         return self.overflowed
 
-    def _offer_own(self, point: Point, probe_other: bool, scan: tuple[float, int] | None) -> float | None:
-        """Offer the point to its group's set (on ``scan`` when given). With
-        ``probe_other`` the other group's set is scanned too, so the work stays
-        at one evaluation per stored point, and the nearest stored distance over
-        both groups is returned; without it, or after an overflow, None is."""
+    def _offer_own(self, point: Point, scan: tuple[float, int] | None) -> None:
+        """Offer the point to its group's set (on ``scan`` when given): store, cover or overflow."""
         res = self.reps[point.group].offer(point, scan)
         if res.status is OfferStatus.OVERFLOW:
             self.overflowed = True
-            return None
-        if res.status is OfferStatus.ADDED:
+        elif res.status is OfferStatus.ADDED:
             self._store(point)
-        if probe_other:
-            return min(res.min_dist, self.reps[3 - point.group].min_dist(point))
-        return None
 
 
 class StreamInstance(SolverInstance):
     """Streaming state for one radius guess over a two-group stream.
 
     ``certificate`` is off (None) unless the ladder turns it on with one
-    empty coordinate list per group. A point stored without ``probe_other``
-    then joins its group's list when it is strictly more than the threshold
-    from every member of the other group's list; it already is from every
-    stored point of its own group. The lists stay pairwise more than twice
-    the guess apart, so no radius-guess clustering with k centers serves two
-    of their members from one center: k+1 members prove the guess is below
+    empty coordinate list per group, on every rung, the top included. A point
+    stored then joins its group's list when it is strictly more than the
+    threshold from every member of the other group's list; it already is from
+    every stored point of its own group. The lists stay pairwise more than
+    twice the guess apart, so no radius-guess clustering with k centers serves
+    two of their members from one center: k+1 members prove the guess is below
     the optimum, and the instance overflows there, before either set passes
     its cap. The scan reads at most the other group's stored set, so an
     update stays within one evaluation per stored point."""
@@ -169,19 +164,16 @@ class StreamInstance(SolverInstance):
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
     certificate: dict[int, list[Coords]] | None = None
 
-    def process(
-        self, point: Point, probe_other: bool = False, scans: tuple[tuple[float, int], ...] = (),
-    ) -> float | None:
+    def process(self, point: Point, scans: tuple[tuple[float, int], ...] = ()) -> None:
         """Route the point to its group's set by ``_offer_own``. ``scans`` holds
         the caller's scan of that set, its one gate, whose evaluations count
         toward this update, as do those of the certificate's scan."""
         limit = self._begin_update(point, scans)
         stored = len(self.stored_order)
-        nearest_all = self._offer_own(point, probe_other, scans[0] if scans else None)
-        if self.certificate is not None and not probe_other and len(self.stored_order) > stored:
+        self._offer_own(point, scans[0] if scans else None)
+        if self.certificate is not None and len(self.stored_order) > stored:
             self._certify(point)
         self._end_update(limit)
-        return nearest_all
 
     def _certify(self, point: Point) -> None:
         """Offer a just-stored point to the certificate; overflow at k+1

@@ -133,6 +133,8 @@ def test_gen_then_oracle_round_trip(tmp_path, capsys):
         (["--radius", "1.0", "--separation", "nan"], "separation must be finite and at least 4"),
         (["--radius", "nan"], "planted radius must be positive and finite, got nan"),
         (["--radius", "1e308"], "radius 1e+308 and separation 4.0 overflow the sampling square's side"),
+        # the side is finite, but the anchor check's squared distances would overflow
+        (["--radius", "1e154"], "radius 1e+154 and separation 4.0 overflow the sampling square's side or squared"),
     ],
 )
 def test_gen_refuses_an_argument_the_generator_cannot_use(tmp_path, capsys, argv, message):

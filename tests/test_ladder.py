@@ -210,6 +210,48 @@ def test_top_guess_overflow_spawns_successors():
         assert hi == pytest.approx(lo * 1.1)  # successors stay on the grid
 
 
+def test_a_general_top_extends_on_a_point_it_stores_near_the_other_group():
+    # at epsilon 1 the grid is 2, 4, 8, and the top (threshold 16) stores 0
+    # and 10. Point 20 is more than 16 from the stored group-1 point but
+    # within 16 of the stored group-2 point: the top stores it, so the grid
+    # extends, though the top's nearest stored point, 10, is within 16 of it
+    spec = FairnessSpec((1, 1))
+    points = stream([(0.0, 1), (10.0, 2), (2.0, 1), (4.0, 1), (6.0, 2), (8.0, 1), (20.0, 1)])
+    ladder = Ladder(spec, epsilon=1.0)
+    for p in points[:-1]:
+        ladder.observe(p)
+    top = ladder.instances[8.0]
+    assert ladder.guesses == [2.0, 4.0, 8.0] and [p.id for p in top.stored_order] == [0, 1]
+    ladder.observe(points[-1])
+    assert [p.id for p in top.stored_order] == [0, 1, 6]
+    assert ladder.guesses == [2.0, 4.0, 8.0, 16.0]
+    result = ladder.finish()
+    assert check_fairness(result.centers, spec) == []
+    assert clustering_cost(points, result.centers) <= 5.0 * result.best_guess
+
+
+def test_a_semi_top_serves_a_band_point_without_extending():
+    # at epsilon 1 the top is at guess 8 (threshold 16, group-2 gate 24 while
+    # group 1 fits) and keeps reps1 = {0}; 14 is within 24 of it, so reps2
+    # stays empty. The last point lies 21 from 0, in the band (16, 24]: the
+    # top does not admit it, so the grid does not extend, and the top, the
+    # ladder's answer, serves it from 0 within three guesses
+    spec = FairnessSpec((1, 1))
+    points = stream([(0.0, 1), (2.0, 1), (3.0, 1), (4.0, 1), (12.0, 1), (14.0, 2), (21.0, 2)])
+    ladder = Ladder(spec, epsilon=1.0, mode="semi")
+    for p in points[:-1]:
+        ladder.observe(p)
+    guesses = list(ladder.guesses)
+    top = ladder.instances[guesses[-1]]
+    assert top.radius_guess == 8.0 and [p.id for p in top.reps1.members] == [0] and not top.reps2.members
+    ladder.observe(points[-1])
+    assert ladder.guesses == guesses and not top.reps2.members
+    result = ladder.finish()
+    assert result.best_guess == 8.0
+    assert check_fairness(result.centers, spec) == []
+    assert clustering_cost(points, result.centers) == 21.0 <= 3.0 * result.best_guess
+
+
 def test_memory_and_update_contracts_on_planted_run():
     spec = FairnessSpec((4, 4))
     planted = generate_planted(spec, 400, 1.0, seed=9)
@@ -226,7 +268,7 @@ def test_memory_and_update_contracts_on_planted_run():
     "mode, counters",
     [
         # (total evals, total stored peak, per-rung peak, update excess, spawned, pruned)
-        ("general", (36893, 201, 9, 0, 31, 3)),
+        ("general", (36511, 201, 9, 0, 31, 3)),
         ("semi", (21399, 77, 12, 0, 28, 20)),
     ],
 )
@@ -329,6 +371,33 @@ def test_certificate_prunes_stay_below_the_optimum_on_the_oracle_sweep(monkeypat
         if r_opt > 0:  # a zero optimum needs a rung at guess 0 (ROADMAP item 8)
             assert clustering_cost(points, result.centers) <= 5.0 * (1.0 + epsilon) * r_opt, draw
     assert sum(refutations) > 100  # the sweep reaches the certificate's prunes
+
+
+def test_a_top_rung_is_pruned_by_separated_points_it_stored_as_the_top(monkeypatch):
+    # caps (1, 1), so k = 2. Point 100 extends the grid, and the new top
+    # (threshold about 18.8) replays 12, 1 and 100, certifying 12 and 100.
+    # Point 70 is more than 18.8 from both: the top stores it, and its
+    # certificate reaches k+1 = 3 points, all stored while it was the top,
+    # though neither own set passed its cap. Its successors replay what it
+    # stored, point 70 included, and point 70 only once
+    spec = FairnessSpec((1, 1))
+    points = stream([(12.0, 1), (1.0, 2), (10.0, 2), (5.0, 1), (18.0, 2), (4.0, 2), (100.0, 1), (70.0, 2)])
+    ladder = Ladder(spec, epsilon=0.1)
+    for p in points[:-1]:
+        ladder.observe(p)
+    top = next(reversed(ladder.instances.values()))
+    assert top.certificate == {1: [(12.0,), (100.0,)], 2: []}
+    replays = []
+    spawn = Ladder._spawn
+    monkeypatch.setattr(Ladder, "_spawn", lambda self, guess, seed: replays.append(seed) or spawn(self, guess, seed))
+    ladder.observe(points[-1])
+    assert top.overflowed and top.radius_guess in ladder.pruned
+    assert len(top.reps1) <= spec.k and len(top.reps2) <= spec.k
+    assert top.certificate[2] == [(70.0,)] and top.stored_order[-1] is points[-1]
+    assert replays and all([p.id for p in replay] == [0, 1, 6, 7] for replay in replays)
+    result = ladder.finish()
+    assert check_fairness(result.centers, spec) == []
+    assert clustering_cost(points, result.centers) <= 5.0 * result.best_guess
 
 
 @pytest.mark.xfail(
@@ -460,21 +529,20 @@ def test_a_subnormal_buffer_gap_still_grows_the_grid(mode):
 # event dispatch against the every-rung reference
 # ----------------------------------------------------------------------
 class ReferenceLadder(Ladder):
-    """The dispatch loop before event dispatch: every live rung runs the full
-    ``process`` on every point."""
+    """The dispatch loop before event dispatch: every live rung, the top
+    included, runs the full ``process`` on every point. The grid extends when
+    the top stored the point in its own group's set or overflowed."""
 
     def _dispatch(self, point):
-        live = list(self.instances.items())
-        top = live[-1][1]
-        for guess, inst in live:
-            # the top rung comes last, so its nearest distance is the one kept
-            nearest_all = inst.process(point, probe_other=inst is top)
+        top = next(reversed(self.instances.values()))
+        size = len(top.reps[point.group])
+        for guess, inst in list(self.instances.items()):
+            inst.process(point)
             if inst.overflowed:
                 self._retire(guess, self.instances.pop(guess))
-        if top.overflowed:
-            self._extend_grid(list(top.stored_order), pending=point)
-        elif nearest_all > top.threshold:
-            self._extend_grid(list(top.stored_order), pending=None)
+        stored = len(top.reps[point.group]) > size
+        if stored or top.overflowed:
+            self._extend_grid(list(top.stored_order), pending=None if stored else point)
 
 
 def _ladder_state(ladder, result):
@@ -765,26 +833,36 @@ def test_a_late_group1_point_is_refused_before_the_ladder_changes(at):
 
 
 def test_semi_event_dispatch_refuses_a_late_group1_point_like_the_reference():
-    # a top rung spawned mid-group-2 from a stored set without group-2 points
-    # has not seen group 2, so it alone cannot refuse a late group-1 point;
-    # every rung that has seen group 2 must take the full process on it
+    # a rung that has not seen group 2 cannot refuse a late group-1 point by
+    # itself, so every rung must take the full process on it. Such a "fresh
+    # top" used to arise mid-group-2, when the top extended the grid on a
+    # group-2 point it had not stored and the successor replayed a stored set
+    # without one. Now the top extends only on a point it stored, or on an
+    # overflow, whose successor replays the point, and a rung spawned from the
+    # buffer replays the group-2 points buffered: once the stream reaches
+    # group 2, every live rung has seen it, those spawned since included
     rng = np.random.default_rng(7)
-    refused_past_a_fresh_top = 0
+    refused = spawned_in_group2 = 0
     for case in range(400):
         points, spec, epsilon = _random_stream(rng, "semi")
         late = Point(len(points), points[int(rng.integers(0, len(points)))].coords, 1)
         outcomes = []
         for cls in (Ladder, ReferenceLadder):
             ladder = cls(spec, epsilon=epsilon, mode="semi")
+            spawned = None
             for p in points:
+                if p.group == 2 and spawned is None and not ladder.bootstrapping:
+                    spawned = ladder.spawned_count
                 ladder.observe(p)
-            # a stream with fewer than 2(k+1) distinct locations is still buffered
-            fresh_top = bool(ladder.instances) and not list(ladder.instances.values())[-1].group2_started
+            if points[-1].group == 2:  # the stream is sorted by group
+                assert all(inst.group2_started for inst in ladder.instances.values()), case
+            if spawned is not None and cls is Ladder:
+                spawned_in_group2 += ladder.spawned_count - spawned
             try:
                 ladder.observe(late)
                 outcomes.append(None)
             except StreamOrderError as exc:
                 outcomes.append(str(exc))
-                refused_past_a_fresh_top += fresh_top and cls is Ladder
+                refused += cls is Ladder
         assert outcomes[0] == outcomes[1], case
-    assert refused_past_a_fresh_top
+    assert refused and spawned_in_group2

@@ -45,6 +45,20 @@ def test_ladder_fingerprint_repeats_exactly():
     assert runs[1].stdout == runs[0].stdout
 
 
+def test_ladder_fingerprint_results_keep_only_the_result_fields():
+    # "result fields equal, counters may move" is then one cmp of two outputs
+    argv = [sys.executable, str(SCRIPTS / "ladder_fingerprint.py"), "--n", "300", "--pool", "1", "--seeds", "1"]
+    full, results = (
+        subprocess.run(args, capture_output=True, text=True, timeout=300) for args in (argv, argv + ["--results"])
+    )
+    for proc in (full, results):
+        assert proc.returncode == 0, proc.stderr
+    fields = ["workload", "seed", "dataset", "best_guess", "cost", "center_ids"]
+    expected = [{field: json.loads(line)[field] for field in fields} for line in full.stdout.splitlines()]
+    assert [json.loads(line) for line in results.stdout.splitlines()] == expected
+    assert results.stdout == "".join(json.dumps(line) + "\n" for line in expected)
+
+
 def test_resource_audit_prints_the_performed_count_beside_the_logical_one():
     argv = [sys.executable, str(SCRIPTS / "resource_audit.py"), "--n", "300", "--k", "6"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
@@ -86,7 +100,9 @@ def test_the_benchmark_tracer_still_installs(monkeypatch):
             if vars(owner).get(name) is not was.get(name)
         }
 
-    rows = [(0.0, 1), (9.0, 2), (3.0, 1), (14.0, 2), (21.0, 1), (30.0, 2), (2.0, 1), (40.0, 2), (1.0, 2)]
+    # the last point leaves the lowest general rung over its group-2 cap
+    # alone, so its finalize takes the one-over path, min_dist's only caller
+    rows = [(0.0, 1), (9.0, 2), (3.0, 1), (14.0, 2), (21.0, 1), (30.0, 2), (2.0, 1), (40.0, 2), (1.0, 2), (51.0, 2)]
     tracer = tracing.Tracer()
     with tracer.installed(fk):
         patched = changed()

@@ -174,7 +174,7 @@ def test_update_cost_stays_within_budget(rng):
         points, spec = random_two_group_instance(rng)
         inst = SemiInstance(1.0, spec)
         for p in group_sorted(points):
-            inst.process(p, probe_other=True)
+            inst.process(p)
             if inst.overflowed:
                 break
         assert inst.stats.update_excess <= 0
@@ -184,39 +184,49 @@ def test_update_time_monitor_catches_a_second_scan():
     inst = SemiInstance(1.0, FairnessSpec((1, 2)))  # threshold 2; group 1 fits, so the gate is 3
     fed(inst, stream([(0.0, 1), (10.0, 2), (20.0, 2)]))
     assert inst.stats.update_excess == 0
-    once = inst.reps2.min_dist
-    inst.reps2.min_dist = lambda p: min(once(p), once(p))  # scans group 2 twice
-    # not offered (2.5 <= 3), so the probe scans reps2 on its own
-    inst.process(pt(3, 2.5, 2), probe_other=True)
+    once = inst.reps2.offer
+
+    def offer_after_a_second_scan(p, scan=None):
+        inst.reps2.nearest(p)  # scans group 2 once more
+        return once(p, scan)
+
+    inst.reps2.offer = offer_after_a_second_scan
+    # offered (10.5 > 3 from reps1) and covered: reps1 once and reps2 twice
+    inst.process(pt(3, 10.5, 2))
     assert inst.stats.update_excess == len(inst.reps2) == 2
 
 
 # ----------------------------------------------------------------------
-# what process returns (the ladder extends its grid on it)
+# when the own set grows (the ladder extends its grid on it at the top)
 # ----------------------------------------------------------------------
-def test_process_probe_for_group_2_points_with_and_without_an_offer():
+def test_group_2_set_grows_only_past_both_admission_radii():
     inst = SemiInstance(1.0, FairnessSpec((1, 2)))  # threshold 2; group 1 fits, so the gate is 3
-    assert inst.process(pt(0, 0.0, 1), probe_other=True) == math.inf
-    # offered to reps2 (10 > 3) and stored: nearest is the group-1 rep
-    assert inst.process(pt(1, 10.0, 2), probe_other=True) == 10.0
-    # not offered (2.5 <= 3): reps2 is scanned separately, group 1 is nearer
-    assert inst.process(pt(2, 2.5, 2), probe_other=True) == 2.5
-    assert [p.id for p in inst.reps2.members] == [1]
-    # offered and covered by the stored group-2 point
-    assert inst.process(pt(3, 11.5, 2), probe_other=True) == 1.5
-    assert inst.process(pt(4, 11.0, 2)) is None
+    sizes = []
+    # 10 is admitted; 2.5 lies in the band (2, 3] of reps1 and is not; 11.5
+    # is covered by 10; 3.5 clears reps1 by more than 3 and 10 by more than 2
+    for p in stream([(0.0, 1), (10.0, 2), (2.5, 2), (11.5, 2), (3.5, 2)]):
+        assert inst.process(p) is None
+        sizes.append((len(inst.reps1), len(inst.reps2)))
+    assert sizes == [(1, 0), (1, 1), (1, 1), (1, 1), (1, 2)]
 
 
-def test_process_returns_the_nearest_stored_distance_only_when_probing(rng):
+def test_own_set_grows_exactly_past_the_admission_radii(rng):
     for trial in range(40):
         points, spec = random_two_group_instance(rng)
         inst = SemiInstance(float(rng.uniform(0.5, 4.0)), spec)
+        lam = inst.threshold
         for p in group_sorted(points):
-            stored = inst.reps1.members + inst.reps2.members  # stand-ins are not scanned
-            expected = min((EUCLIDEAN(p, q) for q in stored), default=math.inf)
-            probe = bool(rng.integers(0, 2))
-            got = inst.process(p, probe_other=probe)
+            dist1 = min((EUCLIDEAN(p, q) for q in inst.reps1.members), default=math.inf)
+            dist2 = min((EUCLIDEAN(p, q) for q in inst.reps2.members), default=math.inf)
+            if p.group == 1:
+                admitted = dist1 > lam
+            else:  # stand-ins are not members of either set
+                radius1 = 1.5 * lam if len(inst.reps1) <= spec.caps[0] else lam
+                admitted = dist1 > radius1 and dist2 > lam
+            own = inst.reps[p.group]
+            size = len(own)
+            assert inst.process(p) is None
             if inst.overflowed:
-                assert got is None
+                assert admitted and len(own) == size
                 break
-            assert got == (expected if probe else None)
+            assert (len(own) > size) is admitted

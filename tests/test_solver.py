@@ -224,20 +224,28 @@ def test_both_over_trace_respects_budget_when_guess_at_optimum(rng):
 
 def test_update_cost_stays_within_stored_size():
     inst = StreamInstance(1.0, SPEC_12)
-    for p in stream([(0.0, 1), (100.0, 1), (1.0, 2), (2.0, 2), (50.0, 2)]):
-        inst.process(p, probe_other=True)
+    inst.certificate = {1: [], 2: []}  # the certificate's scan counts toward the update too
+    for p in stream([(0.0, 1), (100.0, 1), (1.0, 2), (2.0, 2), (50.0, 2), (99.0, 2), (3.0, 1)]):
+        inst.process(p)
     assert inst.stats.update_excess <= 0
 
 
 def test_update_time_monitor_catches_a_second_scan():
     inst = StreamInstance(1.0, SPEC_12)  # threshold 2
-    for p in stream([(0.0, 1), (10.0, 2), (20.0, 2)]):
-        inst.process(p, probe_other=True)
+    for p in stream([(0.0, 1), (10.0, 1)]):
+        inst.process(p)
     assert inst.stats.update_excess == 0
-    once = inst.reps2.min_dist
-    inst.reps2.min_dist = lambda p: min(once(p), once(p))  # scans the other group twice
-    inst.process(pt(3, 0.5, 1), probe_other=True)  # covered by reps1, then probes reps2
-    assert inst.stats.update_excess == len(inst.reps2) == 2
+    once = inst.reps1.offer
+
+    def offer_after_a_second_scan(p, scan=None):
+        inst.reps1.nearest(p)  # scans the own set once more
+        return once(p, scan)
+
+    inst.reps1.offer = offer_after_a_second_scan
+    # covered by reps1, whose members are scanned twice against a budget of
+    # one evaluation per stored point
+    inst.process(pt(2, 0.5, 1))
+    assert inst.stats.update_excess == len(inst.reps1) == 2
 
 
 def test_finalize_is_one_shot():
@@ -280,29 +288,32 @@ def test_ratio_bound_on_random_instances(rng):
 
 
 # ----------------------------------------------------------------------
-# what process returns (the ladder extends its grid on it)
+# when the own set grows (the ladder extends its grid on it at the top)
 # ----------------------------------------------------------------------
-def test_process_returns_the_nearest_stored_distance_only_when_probing(rng):
+def test_own_set_grows_exactly_when_the_point_is_beyond_its_threshold(rng):
     for trial in range(40):
         points, spec = random_two_group_instance(rng)
         inst = StreamInstance(float(rng.uniform(0.5, 4.0)), spec)
         for p in points:
-            stored = inst.reps[1].members + inst.reps[2].members
-            expected = min((EUCLIDEAN(p, q) for q in stored), default=math.inf)
-            probe = bool(rng.integers(0, 2))
-            got = inst.process(p, probe_other=probe)
+            own = inst.reps[p.group]
+            beyond = min((EUCLIDEAN(p, q) for q in own.members), default=math.inf) > inst.threshold
+            size = len(own)
+            assert inst.process(p) is None
             if inst.overflowed:
-                assert got is None
+                assert beyond and len(own) == size
                 break
-            assert got == (expected if probe else None)
+            assert (len(own) > size) is beyond
 
 
-def test_process_probe_on_a_hand_stream():
+def test_own_set_growth_on_a_hand_stream():
     inst = StreamInstance(1.0, SPEC_12)  # threshold 2
-    assert inst.process(pt(0, 0.0, 1), probe_other=True) == math.inf  # nothing stored yet
-    assert inst.process(pt(1, 10.0, 2), probe_other=True) == 10.0  # only the other group is stored
-    assert inst.process(pt(2, 7.0, 1)) is None
-    assert inst.process(pt(3, 9.0, 1), probe_other=True) == 1.0  # the other group is nearer
+    sizes = []
+    for p in stream([(0.0, 1), (10.0, 2), (7.0, 1), (9.0, 1), (11.5, 1)]):
+        inst.process(p)
+        sizes.append((len(inst.reps1), len(inst.reps2)))
+    # 9 is covered by 7; 11.5 is within the threshold of the group-2 point 10
+    # but beyond that of every group-1 point, so it joins group 1's set
+    assert sizes == [(1, 0), (1, 1), (2, 1), (2, 1), (3, 1)]
 
 
 # ----------------------------------------------------------------------
