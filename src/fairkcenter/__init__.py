@@ -26,14 +26,7 @@ from .oracle import (
     gonzalez,
 )
 from .semi import SemiInstance, StreamOrderError
-from .solver import (
-    InfeasibleReason,
-    SolveOutcome,
-    StreamInstance,
-    build_cross_graph,
-    select_with_both_groups_over,
-    select_with_one_group_over,
-)
+from .solver import InfeasibleReason, SolveOutcome, StreamInstance
 
 __all__ = [
     "EUCLIDEAN",
@@ -52,12 +45,9 @@ __all__ = [
     "StreamInstance",
     "StreamOrderError",
     "brute_force_opt",
-    "build_cross_graph",
     "check_fairness",
     "clustering_cost",
     "generate_planted",
     "gonzalez",
     "run_known",
-    "select_with_both_groups_over",
-    "select_with_one_group_over",
 ]

@@ -62,13 +62,13 @@ class DistanceMetric:
 
         The one nearest-point kernel: ``fn`` on the coordinate tuples, at most
         one evaluation per stored point, so euclidean distances are
-        ``math.dist``'s (correctly scaled, no underflow) at any size. With a
-        stop radius ``within`` the scan runs newest first and returns the
-        first point with ``d <= within``; a scan that stops at index i has
-        made n - i evaluations. Otherwise, and always under the default, the
-        result is the exact minimum over every stored point: ties keep the
-        earliest index, and a NaN or inf distance never becomes the nearest.
-        The dimension is checked once, against the first stored point.
+        ``math.dist``'s (correctly scaled, no underflow) at any size. One
+        loop scans newest first and returns the first point with
+        ``d <= within``; a scan that stops at index i has made n - i
+        evaluations. Under the default radius nothing stops it. A scan that
+        does not stop returns the exact minimum over every stored point: ties
+        keep the earliest index, and a NaN or inf distance never becomes the
+        nearest. The dimension is checked once, against the first stored point.
         """
         pc = p.coords
         if stored and len(pc) != len(stored[0]):
@@ -78,13 +78,6 @@ class DistanceMetric:
         best = math.inf
         best_idx = -1
         fn = self.fn
-        if within == NO_STOP:
-            # nothing can stop the scan, so the plain forward loop does it
-            for idx, q in enumerate(stored):
-                d = fn(pc, q)
-                if d < best:
-                    best, best_idx = d, idx
-            return best, best_idx
         for idx in range(len(stored) - 1, -1, -1):
             d = fn(pc, stored[idx])
             # while the scan runs, best > within, so a point within the

@@ -25,7 +25,6 @@ class OfferStatus(Enum):
 
 class OfferResult(NamedTuple):
     status: OfferStatus
-    min_dist: float  # to the nearest stored point before the offer; inf when empty
 
 
 class IndependentSet:
@@ -93,12 +92,11 @@ class IndependentSet:
         if scan is None:
             self.stats.distance_evals += len(self.coords)
             scan = self.metric.nearest(p, self.coords)
-        d, idx = scan
-        if self.covers(d, idx):
-            return OfferResult(OfferStatus.COVERED, d)
+        if self.covers(*scan):
+            return OfferResult(OfferStatus.COVERED)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
-            return OfferResult(OfferStatus.OVERFLOW, d)
+            return OfferResult(OfferStatus.OVERFLOW)
         self.coords.append(p.coords)
         self.members.append(p)
-        return OfferResult(OfferStatus.ADDED, d)
+        return OfferResult(OfferStatus.ADDED)

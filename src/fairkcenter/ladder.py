@@ -237,11 +237,11 @@ class Ladder:
         self.buffer, self._sites, self._site_groups, self._site_dist = [], [], [], []
         if not self.instances:
             # every initial guess overflowed on the buffer itself
-            self._extend_grid(seed, pending=None)
+            self._extend_grid(seed)
 
-    def _feed(self, point: Point, rungs: list[tuple[float, SolverInstance]]) -> None:
-        """Feed the point to each (guess, rung) of ``rungs``, retiring a rung
-        that overflows.
+    def _feed(self, point: Point, rungs: list[SolverInstance]) -> None:
+        """Feed the point to each rung of ``rungs``, retiring a rung that
+        overflows.
 
         A rung scans the point's ``gates`` in order with the kernel, each
         stopping at the first stored point within its radius. The first scan
@@ -249,15 +249,14 @@ class Ladder:
         stops, each scan was the exact one ``process`` would make, so
         ``process`` runs on them; a group with no gate (a semi rung over its
         group-1 cap, or a late group-1 point) takes the full ``process``. The
-        scans' counts are added to ``stats`` once per point, and before any
-        ``process`` call, which reads them for its update excess. A general
-        rung also overflows in ``process`` once its separation certificate
-        holds k+1 points."""
+        scans' counts are added to ``stats`` once, after every rung: the
+        excess ``process`` records does not depend on when they are added
+        (``_begin_update``). A general rung also overflows in ``process``
+        once its separation certificate holds k+1 points."""
         group = point.group
         nearest = self.metric.nearest
-        stats = self.stats
         logical = skipped = 0
-        for guess, inst in rungs:
+        for inst in rungs:
             scans = ()
             for coords, within in inst.gates.get(group, ()):
                 logical += len(coords)
@@ -267,14 +266,11 @@ class Ladder:
                     break
                 scans += ((d, idx),)
             else:
-                stats.distance_evals += logical
-                stats.evals_skipped += skipped
-                logical = skipped = 0
                 inst.process(point, scans=scans)
                 if inst.overflowed:
-                    self._retire(guess, self.instances.pop(guess))
-        stats.distance_evals += logical
-        stats.evals_skipped += skipped
+                    self._retire(inst)
+        self.stats.distance_evals += logical
+        self.stats.evals_skipped += skipped
 
     def _dispatch(self, point: Point) -> None:
         """Feed the point to every live rung through ``_feed``. When the top
@@ -283,10 +279,11 @@ class Ladder:
         top = next(reversed(self.instances.values()))
         own = top.reps[point.group]
         size = len(own)
-        self._feed(point, list(self.instances.items()))
-        stored = len(own) > size
-        if stored or top.overflowed:
-            self._extend_grid(list(top.stored_order), pending=None if stored else point)
+        self._feed(point, list(self.instances.values()))
+        if len(own) > size:
+            self._extend_grid(top.stored_order)  # the point is its last entry
+        elif top.overflowed:
+            self._extend_grid(top.stored_order + [point])
 
     def _next_guess(self, guess: float) -> float:
         """One grid step up. Among subnormal numbers a (1+epsilon) factor can
@@ -304,18 +301,16 @@ class Ladder:
             inst.certificate = {1: [], 2: []}
         self.guesses.append(guess)
         self.instances[guess] = inst  # above every live guess, so it is the top
-        rung = [(guess, inst)]
+        rung = [inst]
         for p in replay:
             self._feed(p, rung)
             if inst.overflowed:
                 return None
         return inst
 
-    def _extend_grid(self, seed: list[Point], pending: Point | None) -> SolverInstance:
-        """Append grid steps until one accepts the seed replay (and the
-        pending point, when given) without overflowing."""
+    def _extend_grid(self, replay: list[Point]) -> SolverInstance:
+        """Append grid steps until one accepts the replay without overflowing."""
         base = self.guesses[-1]
-        replay = seed + ([pending] if pending is not None else [])
         diameter: float | None = None
         while True:
             base = self._next_guess(base)
@@ -339,9 +334,10 @@ class Ladder:
                 diameter = max(diameter, self.metric(p, q))
         return diameter
 
-    def _retire(self, guess: float, inst: SolverInstance) -> None:
-        """Prune a rung: its stored points leave the live total, its counts stay."""
-        self.pruned.append(guess)
+    def _retire(self, inst: SolverInstance) -> None:
+        """Prune a live rung: its stored points leave the live total, its counts stay."""
+        del self.instances[inst.radius_guess]
+        self.pruned.append(inst.radius_guess)
         self.stats.stored -= inst.stored_count
 
     # ------------------------------------------------------------------
@@ -368,7 +364,7 @@ class Ladder:
         seed = list(next(reversed(self.instances.values())).stored_order)
         diameter = self._diameter(seed)
         while True:
-            inst = self._extend_grid(seed, pending=None)
+            inst = self._extend_grid(seed)
             outcome = inst.finalize()
             if outcome.feasible:
                 return LadderResult(self.guesses[-1], outcome.centers)

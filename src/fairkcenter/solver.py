@@ -113,7 +113,10 @@ class SolverInstance:
     def _begin_update(self, point: Point, scans: tuple[tuple[float, int], ...]) -> int:
         """Refuse a point the instance cannot take; return the evaluation count
         past which the update exceeds its budget of one per stored point (each
-        path scans each set at most once), net of the caller's gate ``scans``."""
+        path scans each set at most once), net of the caller's gate ``scans``.
+        Only the difference from the count at ``_end_update`` matters, so the
+        excess is the same whether the caller adds its gate counts to
+        ``stats`` before this call or after ``_end_update``."""
         if self.finalized or self.overflowed:
             raise RuntimeError(f"instance already {'finalized' if self.finalized else 'overflowed'}")
         if point.group not in (1, 2):
@@ -223,10 +226,10 @@ def select_with_one_group_over(
     centers. More survivors than the cap allows certifies the guess was below
     the optimum.
     """
-    keep_beyond = 3.0 * radius_guess
-    survivors = [p for p in over.members if under.min_dist(p, keep_beyond) > keep_beyond]
     if over.group_filter is None:
         raise ValueError("overfull set must be group-filtered")
+    keep_beyond = 3.0 * radius_guess
+    survivors = [p for p in over.members if under.min_dist(p, keep_beyond) > keep_beyond]
     if len(survivors) > spec.cap(over.group_filter):
         return SolveOutcome.infeasible(InfeasibleReason.FAIRNESS_VIOLATED)
     centers = CenterSet(tuple(under.members) + tuple(survivors))

@@ -26,10 +26,10 @@ def test_offer_within_threshold_is_covered():
     s = IndependentSet(2.0)
     s.offer(pt(0, 0.0))
     _, covering = s.nearest(pt(1, 1.0))
+    assert s.min_dist(pt(1, 1.0)) == 1.0
     res = s.offer(pt(1, 1.0))
     assert res.status is OfferStatus.COVERED
     assert covering.id == 0
-    assert res.min_dist == 1.0
 
 
 def test_offer_beyond_threshold_is_added():
@@ -213,8 +213,9 @@ def test_threshold_ties_decide_as_math_dist_at_every_set_size(dim):
     got = []
     for p in offered:
         _, nearest = s.nearest(p)  # the covering point, read before the offer
+        d = s.min_dist(p)
         res = s.offer(p)
-        got.append((res.status, nearest.id if res.status is OfferStatus.COVERED else None, res.min_dist))
+        got.append((res.status, nearest.id if res.status is OfferStatus.COVERED else None, d))
     assert len(s) >= 64
     assert got == reference_offers(offered, threshold)
 

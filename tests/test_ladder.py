@@ -424,6 +424,29 @@ def test_unservable_caps_raise():
         ladder.finish()
 
 
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_a_group_with_cap_zero_alone_is_unservable(mode):
+    # the grid is [5, 5.5]. A semi rung overflows on the second point, so
+    # every initial rung is retired and the fallback extension raises; a
+    # general rung keeps both points, and no rung finalizes feasibly
+    ladder = Ladder(FairnessSpec((1, 0)), mode=mode)
+    for p in stream([(0.0, 2), (10.0, 2)]):
+        ladder.observe(p)
+    with pytest.raises(RuntimeError, match="unservable"):
+        ladder.finish()
+    assert ladder.guesses == [5.0, 5.5]
+    assert ladder.pruned == ([5.0, 5.5] if mode == "semi" else [])
+
+
+def test_a_coincident_stream_of_a_cap_zero_group_has_no_center():
+    ladder = Ladder(FairnessSpec((0, 1)))
+    for i in range(4):
+        ladder.observe(pt(i, 3.0, 1))
+    with pytest.raises(RuntimeError, match="no observed group has a positive cap"):
+        ladder.finish()
+    assert ladder.spawned_count <= ladder.grid_bound
+
+
 def test_observe_after_finish_raises():
     ladder = Ladder(FairnessSpec((1, 1)))
     ladder.observe(pt(0, 0.0, 1))
@@ -536,13 +559,13 @@ class ReferenceLadder(Ladder):
     def _dispatch(self, point):
         top = next(reversed(self.instances.values()))
         size = len(top.reps[point.group])
-        for guess, inst in list(self.instances.items()):
+        for inst in list(self.instances.values()):
             inst.process(point)
             if inst.overflowed:
-                self._retire(guess, self.instances.pop(guess))
+                self._retire(inst)
         stored = len(top.reps[point.group]) > size
         if stored or top.overflowed:
-            self._extend_grid(list(top.stored_order), pending=None if stored else point)
+            self._extend_grid(top.stored_order + ([] if stored else [point]))
 
 
 def _ladder_state(ladder, result):

@@ -12,13 +12,11 @@ from fairkcenter import (
     SolveOutcome,
     StreamInstance,
     brute_force_opt,
-    build_cross_graph,
     check_fairness,
     clustering_cost,
     run_known,
-    select_with_both_groups_over,
-    select_with_one_group_over,
 )
+from fairkcenter.solver import build_cross_graph, select_with_both_groups_over, select_with_one_group_over
 
 from conftest import pt, random_two_group_instance, stream
 
@@ -108,6 +106,17 @@ def test_one_group_over_filter_can_drop_everything():
     out = select_with_one_group_over(over, under, 4.0, FairnessSpec((1, 2)))
     assert out.feasible
     assert sorted(p.coords[0] for p in out.centers) == [1.0, 11.0]
+
+
+def test_one_group_over_refuses_an_unfiltered_set_before_scanning():
+    over = IndependentSet(2.0)
+    for i, c in enumerate([0.0, 10.0]):
+        over.offer(pt(i, c, 1))
+    under = filled_set(2.0, [1.0, 11.0], group=2)
+    before = under.stats.distance_evals
+    with pytest.raises(ValueError, match="group-filtered"):
+        select_with_one_group_over(over, under, 4.0, SPEC_12)
+    assert under.stats.distance_evals == before
 
 
 def test_one_group_over_underselling_guess_is_infeasible():
