@@ -4,6 +4,7 @@ planted-dataset generator whose optimal radius is known by construction."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,10 +30,31 @@ class OracleResult:
     evaluated: int
 
 
-# Subsets scored per numpy pass. At the n=16, k=5 guard one block peaks
-# near 0.25 MB of transients (traced with tracemalloc): the index rows plus
-# two (rows, n) float64 radius arrays.
+# Subsets scored per numpy pass. At the n=16, k=5 guard one slice peaks
+# near 0.28 MB of float transients (traced with tracemalloc): two
+# (rows, n) float64 radius arrays. The subset table and the cap filter are
+# not sliced and grow with the subset count (see brute_force_opt).
 _BLOCK_ROWS = 1024
+
+
+@functools.lru_cache(maxsize=80)
+def _subset_table(n: int, k: int) -> np.ndarray:
+    """Every subset of ``range(n)`` with 1..k members, by increasing size
+    then lexicographically, one ``intp`` row each, padded to k columns with
+    the sentinel index n. Built on first use, one ``np.fromiter`` per size,
+    and read-only, because every call of that shape shares it. A row costs
+    8k bytes: 0.28 MB at n=16, k=5, and 1.26 MB for every shape the
+    default guards allow (70 keys of n <= 16, k <= min(n, 5)), which the
+    cache holds without evicting any."""
+    counts = [math.comb(n, size) for size in range(1, k + 1)]
+    table = np.full((sum(counts), k), n, dtype=np.intp)
+    start = 0
+    for size, count in enumerate(counts, start=1):
+        flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+        table[start : start + count, :size] = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
+        start += count
+    table.flags.writeable = False
+    return table
 
 
 def brute_force_opt(
@@ -46,20 +68,27 @@ def brute_force_opt(
 
     Enumerates every cap-feasible subset of at most k points, by increasing
     size then lexicographic ids, and keeps the first subset attaining the
-    minimum cost. Each size is enumerated in blocks of at most
-    ``_BLOCK_ROWS`` subsets: a block becomes one index array, rows breaking
-    a cap are dropped using per-group member counts, and the kept rows are
-    scored together by a running minimum over the size's distance rows,
-    then one max per row. A block never materializes more than a few
-    (rows, n) arrays, so memory stays bounded whatever the subset count.
-    The tie-break is that of a plain loop: within a size the first minimum
-    in lexicographic order wins, and a later block or a larger size must be
-    strictly cheaper to replace it. A NaN or infinite cost never wins; if
-    subsets were scored but every one scores such a cost, the error says so
-    rather than calling the instance infeasible. The distance matrix calls
-    ``metric`` once per pair i <= j and mirrors it, relying on the metric's
-    symmetry. Guarded to small instances; raise the
-    guards explicitly to go bigger.
+    minimum cost. The subsets come from one cached, read-only table per
+    (n, min(k, n)) (``_subset_table``), whose rows are padded to a common
+    width with the sentinel index n; that table is all a call leaves
+    behind for the next. Each call appends one +inf row to its distance
+    matrix for the sentinel, so a padded column never lowers a point's
+    radius, and gives the sentinel group label 0, so it never counts
+    against a cap. The rows breaking a cap are dropped once for the whole
+    table, by per-group member counts, into a new array: the cached table
+    is never written. The kept rows are scored in slices of
+    ``_BLOCK_ROWS`` by a running minimum over their distance rows, then one
+    max per row. The float transients stay per slice, but the table, the
+    member labels and the kept rows grow with the subset count: a cold
+    two-group call at the n=16, k=5 guard peaks near 1 MB (tracemalloc),
+    0.28 MB of it the table it keeps. The tie-break is that of a plain
+    loop: the first minimum in (size, lexicographic) order wins, and a
+    later slice must be strictly cheaper to replace it. A NaN or infinite
+    cost never wins; if subsets were scored but every one scores such a
+    cost, the error says so rather than calling the instance infeasible.
+    The distance matrix calls ``metric`` once per pair i <= j and mirrors
+    it, relying on the metric's symmetry. Guarded to small instances; raise
+    the guards explicitly to go bigger.
     """
     pts = list(points)
     n = len(pts)
@@ -69,53 +98,47 @@ def brute_force_opt(
         raise SizeGuardError(f"n={n} exceeds the exhaustive-search guard ({max_n})")
     if spec.k > max_k:
         raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard ({max_k})")
-    dists = np.empty((n, n))
+    # row n is the sentinel's: infinitely far from every point
+    dists = np.empty((n + 1, n))
+    dists[n] = math.inf
     for i, p in enumerate(pts):
         for j in range(i, n):
             dists[i, j] = dists[j, i] = metric(p, pts[j])
     for p in pts:
         if p.group > spec.m:
             raise ValueError(f"point {p.id} has group {p.group} but only {spec.m} caps were given")
-    groups = np.array([p.group - 1 for p in pts])
+    k = min(spec.k, n)
+    rows = _subset_table(n, k)
+    tight = [(g, cap) for g, cap in enumerate(spec.caps, start=1) if cap < k]
+    if tight:
+        members = np.array([p.group for p in pts] + [0])[rows]
+        feasible = np.ones(len(rows), dtype=bool)
+        for g, cap in tight:
+            feasible &= (members == g).sum(axis=1) <= cap
+        rows = rows[feasible]
     best_cost = math.inf
-    best_combo: tuple[int, ...] | None = None
-    evaluated = 0
-    for size in range(1, min(spec.k, n) + 1):
-        tight = [(g, cap) for g, cap in enumerate(spec.caps) if cap < size]
-        combos = itertools.combinations(range(n), size)
-        while True:
-            block = itertools.chain.from_iterable(itertools.islice(combos, _BLOCK_ROWS))
-            rows = np.fromiter(block, dtype=np.intp).reshape(-1, size)
-            if not len(rows):
-                break
-            if tight:
-                members = groups[rows]
-                feasible = np.ones(len(rows), dtype=bool)
-                for g, cap in tight:
-                    feasible &= np.count_nonzero(members == g, axis=1) <= cap
-                rows = rows[feasible]
-                if not len(rows):
-                    continue
-            evaluated += len(rows)
-            # dists is symmetric, so row c holds every point's distance to c
-            radius = dists[rows[:, 0]]
-            for col in range(1, size):
-                np.minimum(radius, dists[rows[:, col]], out=radius)
-            costs = radius.max(axis=1)
-            costs[np.isnan(costs)] = math.inf
-            at = int(costs.argmin())
-            if costs[at] < best_cost:
-                best_cost = float(costs[at])
-                best_combo = tuple(int(i) for i in rows[at])
-    if best_combo is None:
-        if evaluated:
+    best_at = -1
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        # dists is symmetric, so row c holds every point's distance to c
+        radius = dists[block[:, 0]]
+        for col in range(1, k):
+            np.minimum(radius, dists[block[:, col]], out=radius)
+        costs = radius.max(axis=1)
+        costs[np.isnan(costs)] = math.inf
+        at = int(costs.argmin())
+        if costs[at] < best_cost:
+            best_cost = float(costs[at])
+            best_at = start + at
+    if best_at < 0:
+        if len(rows):
             raise ValueError(
                 "every cap-feasible center set has a non-finite cost "
                 "(the distances overflow the float range or are NaN)"
             )
         raise ValueError("no cap-feasible center set exists for this dataset")
-    witness = CenterSet(tuple(pts[i] for i in best_combo))
-    return OracleResult(best_cost, witness, evaluated)
+    witness = CenterSet(tuple(pts[i] for i in rows[best_at] if i < n))
+    return OracleResult(best_cost, witness, len(rows))
 
 
 def candidate_radii(points: Iterable[Point], metric: DistanceMetric = EUCLIDEAN) -> list[float]:

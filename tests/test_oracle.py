@@ -17,7 +17,7 @@ from fairkcenter import (
     generate_planted,
     gonzalez,
 )
-from fairkcenter.oracle import candidate_radii
+from fairkcenter.oracle import _subset_table, candidate_radii
 
 from conftest import pt, random_two_group_instance, stream
 
@@ -264,6 +264,49 @@ def test_block_oracle_calls_the_metric_once_per_pair():
     pts = stream([(float(i), 1 + i % 2) for i in range(6)])
     brute_force_opt(pts, FairnessSpec((1, 1)), DistanceMetric.from_callable(counted))
     assert len(calls) == 6 * 7 // 2
+
+
+# ----------------------------------------------------------------------
+# the cached subset table
+# ----------------------------------------------------------------------
+def test_subset_table_lists_combinations_by_size_padded_with_the_sentinel():
+    table = _subset_table(5, 3)
+    expected = [
+        combo + (5,) * (3 - size)
+        for size in range(1, 4)
+        for combo in itertools.combinations(range(5), size)
+    ]
+    assert table.dtype == np.intp
+    assert [tuple(int(i) for i in row) for row in table] == expected
+
+
+def test_subset_table_is_read_only():
+    table = _subset_table(6, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    assert _subset_table(6, 2) is table
+
+
+def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
+    # every call has n=8 and k=4, so all read one cached table; each brings
+    # other labels, caps or a metric, and a filter that wrote into the table
+    # would spoil the calls after it
+    manhattan = DistanceMetric.from_callable(lambda a, b: sum(abs(x - y) for x, y in zip(a, b)), "l1")
+    rng = np.random.default_rng(2718)
+    coords = [tuple(float(c) for c in rng.integers(0, 9, size=2)) for _ in range(8)]
+    before = _subset_table(8, 4).copy()
+    cases = [
+        ((2, 2), [1, 2] * 4, {}),
+        ((0, 4), [1, 1, 2, 2, 1, 2, 2, 1], {}),
+        ((1, 1, 2), [1, 2, 3, 3, 2, 1, 3, 2], {}),
+        ((4,), [1] * 8, {}),
+        ((3, 1), [2, 1, 1, 2, 2, 1, 1, 2], {"metric": manhattan}),
+        ((1, 3), [2, 2, 2, 2, 2, 2, 2, 1], {}),
+    ]
+    for caps, labels, kwargs in cases:
+        points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
+        assert assert_same_as_reference(points, FairnessSpec(caps), **kwargs)[0] == "ok"
+    assert np.array_equal(_subset_table(8, 4), before)
 
 
 # ----------------------------------------------------------------------
