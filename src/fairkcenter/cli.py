@@ -123,8 +123,13 @@ class PointReader:
 
 
 def _spec(args: argparse.Namespace) -> FairnessSpec:
-    """The caps, checked against ``--k``."""
-    spec = FairnessSpec(tuple(int(c) for c in str(args.caps).split(",") if c.strip() != ""))
+    """The caps, checked against ``--k``. An empty field is refused by its
+    position, never skipped."""
+    fields = str(args.caps).split(",")
+    for pos, field in enumerate(fields, start=1):
+        if not field.strip():
+            raise ValueError(f"--caps {args.caps!r}: field {pos} of {len(fields)} is empty")
+    spec = FairnessSpec(tuple(map(int, fields)))
     if args.k is not None and args.k != spec.k:
         raise ValueError(f"--k {args.k} does not match the cap sum {spec.k}")
     return spec

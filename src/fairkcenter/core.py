@@ -68,10 +68,13 @@ class DistanceMetric:
         evaluations. Under the default radius nothing stops it. A scan that
         does not stop returns the exact minimum over every stored point: ties
         keep the earliest index, and a NaN or inf distance never becomes the
-        nearest. The dimension is checked once, against the first stored point.
+        nearest. The dimension is checked once, against the first stored
+        point; an empty ``stored`` returns at once, whatever ``within``.
         """
+        if not stored:
+            return math.inf, -1
         pc = p.coords
-        if stored and len(pc) != len(stored[0]):
+        if len(pc) != len(stored[0]):
             raise ValueError(
                 f"dimension mismatch: point {p.id} has {len(pc)} coords, stored points have {len(stored[0])}"
             )

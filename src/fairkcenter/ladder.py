@@ -245,10 +245,13 @@ class Ladder:
 
         A rung scans the point's ``gates`` in order with the kernel, each
         stopping at the first stored point within its radius. The first scan
-        that stops proves the point changes nothing on that rung. When none
-        stops, each scan was the exact one ``process`` would make, so
-        ``process`` runs on them; a group with no gate (a semi rung over its
-        group-1 cap, or a late group-1 point) takes the full ``process``. The
+        that stops proves the point changes nothing on that rung, and the
+        scans after it are never made: a semi rung within its group-1 cap
+        reads ``reps2`` before ``reps1``, so a group-2 point its newest
+        ``reps2`` member covers costs one evaluation. When none stops, each
+        scan was the exact one ``process`` would make, so ``process`` runs
+        on them; a group with no gate (a semi rung over its group-1 cap, or
+        a late group-1 point) takes the full ``process``. The
         scans' counts are added to ``stats`` once, after every rung: the
         excess ``process`` records does not depend on when they are added
         (``_begin_update``). A general rung also overflows in ``process``

@@ -37,15 +37,18 @@ class OracleResult:
 _BLOCK_ROWS = 1024
 
 
-@functools.lru_cache(maxsize=80)
-def _subset_table(n: int, k: int) -> np.ndarray:
+# brute_force_opt's default size guards, which also bound the subset-table
+# cache: only shapes within them are cached
+_GUARD_N = 16
+_GUARD_K = 5
+
+
+def _build_subset_table(n: int, k: int) -> np.ndarray:
     """Every subset of ``range(n)`` with 1..k members, by increasing size
     then lexicographically, one ``intp`` row each, padded to k columns with
-    the sentinel index n. Built on first use, one ``np.fromiter`` per size,
-    and read-only, because every call of that shape shares it. A row costs
-    8k bytes: 0.28 MB at n=16, k=5, and 1.26 MB for every shape the
-    default guards allow (70 keys of n <= 16, k <= min(n, 5)), which the
-    cache holds without evicting any."""
+    the sentinel index n. One ``np.fromiter`` per size, and read-only,
+    because every call of that shape may share it. A row costs 8k bytes:
+    0.28 MB at n=16, k=5."""
     counts = [math.comb(n, size) for size in range(1, k + 1)]
     table = np.full((sum(counts), k), n, dtype=np.intp)
     start = 0
@@ -57,24 +60,30 @@ def _subset_table(n: int, k: int) -> np.ndarray:
     return table
 
 
+# the tables of shapes within the default guards, built on first use and
+# kept: 70 shapes (n <= 16, k <= min(n, 5)), 1.26 MB at most
+_subset_table = functools.lru_cache(maxsize=None)(_build_subset_table)
+
+
 def brute_force_opt(
     points: Iterable[Point],
     spec: FairnessSpec,
     metric: DistanceMetric = EUCLIDEAN,
-    max_n: int = 16,
-    max_k: int = 5,
+    max_n: int = _GUARD_N,
+    max_k: int = _GUARD_K,
 ) -> OracleResult:
     """Exhaustive optimal solution under the caps.
 
     Enumerates every cap-feasible subset of at most k points, by increasing
     size then lexicographic ids, and keeps the first subset attaining the
-    minimum cost. The subsets come from one cached, read-only table per
-    (n, min(k, n)) (``_subset_table``), whose rows are padded to a common
-    width with the sentinel index n; that table is all a call leaves
-    behind for the next. Each call appends one +inf row to its distance
-    matrix for the sentinel, so a padded column never lowers a point's
-    radius, and gives the sentinel group label 0, so it never counts
-    against a cap. The rows breaking a cap are dropped once for the whole
+    minimum cost. The subsets come from one read-only table per
+    (n, min(k, n)), whose rows are padded to a common width with the
+    sentinel index n. Within the default guards the table is cached
+    (``_subset_table``), and it is all a call leaves behind for the next;
+    a call past them builds its own table and keeps none. Each call
+    appends one +inf row to its distance matrix for the sentinel, so a
+    padded column never lowers a point's radius, and gives the sentinel
+    group label 0, so it never counts against a cap. The rows breaking a cap are dropped once for the whole
     table, by per-group member counts, into a new array: the cached table
     is never written. The kept rows are scored in slices of
     ``_BLOCK_ROWS`` by a running minimum over their distance rows, then one
@@ -108,7 +117,7 @@ def brute_force_opt(
         if p.group > spec.m:
             raise ValueError(f"point {p.id} has group {p.group} but only {spec.m} caps were given")
     k = min(spec.k, n)
-    rows = _subset_table(n, k)
+    rows = _subset_table(n, k) if n <= _GUARD_N and k <= _GUARD_K else _build_subset_table(n, k)
     tight = [(g, cap) for g, cap in enumerate(spec.caps, start=1) if cap < k]
     if tight:
         members = np.array([p.group for p in pts] + [0])[rows]

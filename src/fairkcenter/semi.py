@@ -14,6 +14,8 @@ the optimum.
 
 from __future__ import annotations
 
+import math
+
 from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
 from .solver import InfeasibleReason, SolveOutcome, SolverInstance
 
@@ -61,32 +63,56 @@ class SemiInstance(SolverInstance):
         group1_fits = len(self.reps1) <= self.spec.caps[0]
         if not self.group2_started:
             # reps1 is frozen from here on, and with it group1_fits. While group
-            # 1 fits, no stand-in arises, and a point within 1.5 thresholds of
-            # reps1 (not admitted) or within one of reps2 (covered) changes
-            # nothing. Over the cap any point may record a stand-in, so none is
-            # gated. Group 1 loses its gate: a later group-1 point must reach
+            # 1 fits, no stand-in arises, and a point within one threshold of
+            # reps2 (covered) or within 1.5 of reps1 (not admitted) changes
+            # nothing. reps2 is read first once it has a member: on a sweep
+            # its newest member covers most points, which then need no reps1
+            # scan. Until then its gate would scan an empty list, on every
+            # rung that never admits a group-2 point, so it is left out. Over
+            # the cap any point may record a stand-in, so none is gated.
+            # Group 1 loses its gate: a later group-1 point must reach
             # process, to be refused.
             self.group2_started = True
-            self.gates = {2: ((self.reps1.coords, 1.5 * lam), (self.reps2.coords, lam))} if group1_fits else {}
-        if scans:
-            (dist1, idx1), scan2 = scans
-            nearest_rep = self.reps1.members[idx1] if idx1 >= 0 else None
-        else:
-            dist1, nearest_rep = self.reps1.nearest(point)
-            scan2 = None
-        # admit only points clear of stored group-2 points and clear of group
-        # 1 by one and a half thresholds while group 1 fits its cap, by one
-        # threshold otherwise
-        if dist1 > (1.5 * lam if group1_fits else lam):
-            self._offer_own(point, scan2)
-        # with group 1 over its cap, a point not offered may instead become the
-        # stand-in for one stored group-1 representative. Only the nearest one
-        # can qualify: representatives sit farther than a threshold apart, so
-        # no two can both be within half a threshold of the point.
-        elif not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
+            self.gates = {2: ((self.reps1.coords, 1.5 * lam),)} if group1_fits else {}
+        if group1_fits:
+            # a gate scan that stops leaves the rung unchanged; past every
+            # gate, the point is clear of reps1 by 1.5 thresholds and of
+            # reps2 by one (an empty reps2's scan is (inf, -1))
+            if not scans:
+                scans = self._scan_gates(point)
+            if scans is None:
+                return
+            first = not self.reps2
+            self._offer_own(point, (math.inf, -1) if first else scans[0])
+            if first and self.reps2:
+                self.gates = {2: ((self.reps2.coords, lam), (self.reps1.coords, 1.5 * lam))}
+            return
+        # with group 1 over its cap, admit only points clear of both sets by
+        # one threshold; a point not offered may instead become the stand-in
+        # for one stored group-1 representative. Only the nearest one can
+        # qualify: representatives sit farther than a threshold apart, so no
+        # two can both be within half a threshold of the point.
+        dist1, nearest_rep = self.reps1.nearest(point)
+        if dist1 > lam:
+            self._offer_own(point, None)
+        elif dist1 <= lam / 2.0 and nearest_rep is not None:
             if nearest_rep.id not in self.replacement_of:
                 self.replacement_of[nearest_rep.id] = point
                 self._store(point)
+
+    def _scan_gates(self, point: Point) -> tuple[tuple[float, int], ...] | None:
+        """The group-2 gate scans, made and counted here as ``Ladder._feed``
+        makes them; None once one stops."""
+        stats = self.stats
+        scans = ()
+        for coords, within in self.gates[2]:
+            stats.distance_evals += len(coords)
+            d, idx = self.metric.nearest(point, coords, within)
+            if d <= within:
+                stats.evals_skipped += idx  # the scan stopped at idx
+                return None
+            scans += ((d, idx),)
+        return scans
 
     def finalize(self) -> SolveOutcome:
         """Assemble the centers; swaps surplus group-1 representatives for

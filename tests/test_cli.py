@@ -276,6 +276,17 @@ def test_malformed_caps_are_a_structured_error(tmp_path, capsys):
     assert payload["error"]["kind"] == "ValueError"
 
 
+@pytest.mark.parametrize("caps, field", [("1,,1", "field 2 of 3"), ("1,1,", "field 3 of 3")])
+def test_an_empty_caps_field_is_a_structured_error(tmp_path, capsys, caps, field):
+    # an empty field used to be dropped, so both strings ran with caps (1, 1)
+    path = write(tmp_path, "tiny.csv", "x,group\n0,1\n1,2\n")
+    rc = main(["solve", "--input", path, "--caps", caps])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"] == {"kind": "ValueError", "message": f"--caps '{caps}': {field} is empty"}
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan", "-1"])
 def test_non_finite_radius_is_a_structured_error(tmp_path, capsys, radius):
     # a negative radius meets the same check as a non-finite one

@@ -53,6 +53,14 @@ def test_nearest_of_an_empty_list_is_inf():
     assert EUCLIDEAN.nearest(pt(0, (1.0, 2.0)), []) == (math.inf, -1)
 
 
+@pytest.mark.parametrize("within", [-1.0, 0.0, 2.5, math.inf])
+def test_nearest_of_an_empty_list_is_inf_at_any_stop_radius(within):
+    def never(a, b):
+        raise AssertionError("an empty scan evaluated a distance")
+
+    assert DistanceMetric.from_callable(never).nearest(pt(0, (1.0, 2.0)), [], within) == (math.inf, -1)
+
+
 def test_nearest_keeps_the_earliest_of_exact_ties():
     stored = [(3.0,), (-1.0,), (1.0,), (-1.0,)]
     assert EUCLIDEAN.nearest(pt(0, 0.0), stored) == (1.0, 1)

@@ -269,7 +269,7 @@ def test_memory_and_update_contracts_on_planted_run():
     [
         # (total evals, total stored peak, per-rung peak, update excess, spawned, pruned)
         ("general", (36511, 201, 9, 0, 31, 3)),
-        ("semi", (21399, 77, 12, 0, 28, 20)),
+        ("semi", (15899, 77, 12, 0, 28, 20)),
     ],
 )
 def test_run_counters_are_pinned(mode, counters):

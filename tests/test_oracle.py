@@ -287,6 +287,17 @@ def test_subset_table_is_read_only():
     assert _subset_table(6, 2) is table
 
 
+def test_a_lifted_guard_call_leaves_the_subset_table_cache_as_it_was():
+    # only shapes within the default guards (n <= 16, k <= 5) are cached; a
+    # call past either builds its own table and keeps none
+    rng = np.random.default_rng(31)
+    pts = [Point(i, (float(rng.integers(0, 30)),), int(rng.integers(1, 3))) for i in range(17)]
+    before = _subset_table.cache_info().currsize
+    assert assert_same_as_reference(pts, FairnessSpec((1, 1)), max_n=17)[0] == "ok"
+    assert assert_same_as_reference(pts[:8], FairnessSpec((3, 3)), max_k=6)[0] == "ok"
+    assert _subset_table.cache_info().currsize == before
+
+
 def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
     # every call has n=8 and k=4, so all read one cached table; each brings
     # other labels, caps or a metric, and a filter that wrote into the table

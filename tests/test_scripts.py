@@ -123,3 +123,25 @@ def test_the_benchmark_tracer_still_installs(monkeypatch):
     assert traced.keys() <= patched
     calls = tracer.totals()[0]
     assert all(calls[tracing.ID[span]] for span in traced.values()), dict(zip(tracing.NAMES, calls))
+
+
+def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
+    # both sides are this tree, on the fastest workload and a short run
+    root = SCRIPTS.parent
+    argv = [
+        sys.executable, str(SCRIPTS / "bench_pairs.py"), "--parent", str(root), "--change", str(root),
+        "--workload", "oracle-check", "--pairs", "1", "--seconds", "0.1", "--out-dir", str(tmp_path),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    [out] = tmp_path.glob("BENCH_*.json")
+    collection = json.loads(out.read_text())
+    assert out.name == f"BENCH_{collection['parent']}.json" and collection["change"] == collection["parent"]
+    [pair] = collection["pairs"]
+    assert (pair["workload"], pair["seed"], pair["pair"], pair["first"]) == ("oracle-check", 1, 1, "parent")
+    for side in ("parent", "change"):
+        assert pair[side]["correct"] and pair[side]["workload"] == "oracle-check"
+    [summary] = collection["medians"]
+    assert summary["pairs"] == 1
+    assert summary["change"]["solve_s"] == pair["change"]["metrics"]["solve_s"]["value"]
+    assert set(summary["change_better_pairs"]) <= set(pair["parent"]["metrics"])

@@ -181,7 +181,7 @@ def test_update_cost_stays_within_budget(rng):
 
 
 def test_update_time_monitor_catches_a_second_scan():
-    inst = SemiInstance(1.0, FairnessSpec((1, 2)))  # threshold 2; group 1 fits, so the gate is 3
+    inst = SemiInstance(1.0, FairnessSpec((1, 3)))  # threshold 2; group 1 fits, so the gate is 3
     fed(inst, stream([(0.0, 1), (10.0, 2), (20.0, 2)]))
     assert inst.stats.update_excess == 0
     once = inst.reps2.offer
@@ -191,9 +191,12 @@ def test_update_time_monitor_catches_a_second_scan():
         return once(p, scan)
 
     inst.reps2.offer = offer_after_a_second_scan
-    # offered (10.5 > 3 from reps1) and covered: reps1 once and reps2 twice
-    inst.process(pt(3, 10.5, 2))
-    assert inst.stats.update_excess == len(inst.reps2) == 2
+    # 15 is 5 from both reps2 members and 15 > 3 from reps1, so it reaches
+    # offer and is stored: reps2 twice and reps1 once
+    size = len(inst.reps2)
+    inst.process(pt(3, 15.0, 2))
+    assert len(inst.reps2) == size + 1
+    assert inst.stats.update_excess == size == 2
 
 
 # ----------------------------------------------------------------------
@@ -230,3 +233,139 @@ def test_own_set_grows_exactly_past_the_admission_radii(rng):
                 assert admitted and len(own) == size
                 break
             assert (len(own) > size) is admitted
+
+
+# ----------------------------------------------------------------------
+# reps2 read before reps1, against the reps1-first reference
+# ----------------------------------------------------------------------
+class Reps1FirstSemi(SemiInstance):
+    """Group 2 as the solver read it before ``reps2`` came first: every
+    group-2 point takes a full ``reps1`` scan, and only a point it admits
+    is offered to ``reps2``, which scans it there. Never gated."""
+
+    def _process_group2(self, point, scans):
+        lam = self.threshold
+        group1_fits = len(self.reps1) <= self.spec.caps[0]
+        self.group2_started = True
+        self.gates = {}
+        dist1, nearest_rep = self.reps1.nearest(point)
+        if dist1 > (1.5 * lam if group1_fits else lam):
+            self._offer_own(point, None)
+        elif not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
+            if nearest_rep.id not in self.replacement_of:
+                self.replacement_of[nearest_rep.id] = point
+                self._store(point)
+
+
+def until_overflow(inst, points):
+    """Feed ``points`` through ``process`` alone, as ``run_known`` does."""
+    for p in points:
+        inst.process(p)
+        if inst.overflowed:
+            break
+    return inst
+
+
+def gated(inst, points):
+    """Feed ``points`` as ``Ladder._feed`` feeds a rung: through its gates,
+    in order, with ``process`` only when no gate scan stops; the gate scans'
+    logical counts go into ``stats`` too."""
+    for p in points:
+        scans = ()
+        for coords, within in inst.gates.get(p.group, ()):
+            inst.stats.distance_evals += len(coords)
+            d, idx = inst.metric.nearest(p, coords, within)
+            if d <= within:
+                break
+            scans += ((d, idx),)
+        else:
+            inst.process(p, scans=scans)
+        if inst.overflowed:
+            break
+    return inst
+
+
+def semi_state(inst):
+    out = inst.finalize()
+    return (
+        [p.id for p in inst.stored_order],
+        [p.id for p in inst.reps1.members],
+        [p.id for p in inst.reps2.members],
+        {rep: p.id for rep, p in inst.replacement_of.items()},
+        inst.overflowed,
+        inst.path,
+        out.centers.ids() if out.feasible else out.reason,
+    )
+
+
+def semi_orders(points, rng):
+    """The group-sorted orders compared: swept along the first coordinate
+    within each group, and shuffled within each group."""
+    yield sorted(points, key=lambda p: (p.group, p.coords))
+    shuffled = [points[i] for i in rng.permutation(len(points))]
+    yield group_sorted(shuffled)
+
+
+def test_reps2_first_matches_the_reps1_first_reference(rng):
+    reached = {"fits": 0, "over": 0, "tie at lambda": 0, "tie at 1.5 lambda": 0, "stand-in": 0}
+    for trial in range(300):
+        points, spec = random_two_group_instance(rng)
+        # integer and half-integer guesses on the integer grid: distances of
+        # exactly one threshold (2r) and one and a half (3r) occur
+        guess = float(rng.integers(1, 9)) / 2.0
+        for order in semi_orders(points, rng):
+            want = semi_state(until_overflow(Reps1FirstSemi(guess, spec), order))
+            assert semi_state(gated(SemiInstance(guess, spec), order)) == want, trial
+            probe = SemiInstance(guess, spec)
+            lam = probe.threshold
+            for p in order:
+                if p.group == 2:
+                    fits = len(probe.reps1) <= spec.caps[0]
+                    d1 = min((EUCLIDEAN(p, q) for q in probe.reps1.members), default=math.inf)
+                    d2 = min((EUCLIDEAN(p, q) for q in probe.reps2.members), default=math.inf)
+                    reached["fits" if fits else "over"] += 1
+                    reached["tie at lambda"] += fits and d2 == lam
+                    reached["tie at 1.5 lambda"] += fits and d2 > lam and d1 == 1.5 * lam
+                stand_ins = len(probe.replacement_of)
+                probe.process(p)
+                reached["stand-in"] += len(probe.replacement_of) > stand_ins
+                if probe.overflowed:
+                    break
+            assert semi_state(probe) == want, trial
+    assert all(reached.values()), reached
+
+
+def test_gated_and_ungated_updates_count_the_same_logical_evaluations(rng):
+    for trial in range(60):
+        points, spec = random_two_group_instance(rng)
+        guess = float(rng.integers(1, 9)) / 2.0
+        order = group_sorted(points)
+        ungated = until_overflow(SemiInstance(guess, spec), order)
+        through_gates = gated(SemiInstance(guess, spec), order)
+        assert through_gates.stats.distance_evals == ungated.stats.distance_evals, trial
+        assert through_gates.stats.update_excess <= 0 and ungated.stats.update_excess <= 0
+
+
+def test_a_fitting_rung_gates_reps2_first_from_its_first_member_on():
+    inst = SemiInstance(1.0, FairnessSpec((1, 3)))  # threshold 2
+    fed(inst, stream([(0.0, 1), (2.5, 2)]))  # 2.5 is within 3 of reps1: not admitted
+    assert inst.gates == {2: ((inst.reps1.coords, 3.0),)}  # no scan of the empty reps2
+    inst.process(pt(2, 10.0, 2))
+    assert inst.gates == {2: ((inst.reps2.coords, 2.0), (inst.reps1.coords, 3.0))}
+    assert inst.gates[2][0][0] is inst.reps2.coords and inst.gates[2][1][0] is inst.reps1.coords
+    over = fed(SemiInstance(1.0, FairnessSpec((1, 3))), stream([(0.0, 1), (10.0, 1), (20.0, 2)]))
+    assert over.gates == {}  # over its group-1 cap: every group-2 point runs process
+
+
+def test_a_point_within_one_and_a_half_thresholds_of_reps2_is_admitted_past_it():
+    # threshold 2, group 1 fits: 10 is admitted; 12.5 is 2.5 from reps2,
+    # past one threshold, and 12.5 from reps1, past 1.5, so it is admitted
+    # too and then covers 14. Judging the reps2 distance against 1.5
+    # thresholds, as a swapped reading of the gate scans would, refuses
+    # 12.5 and admits 14 in its place.
+    points = stream([(0.0, 1), (10.0, 2), (12.5, 2), (14.0, 2)])
+    spec = FairnessSpec((1, 3))
+    want = semi_state(fed(Reps1FirstSemi(1.0, spec), points))
+    assert want[2] == [1, 2]
+    assert semi_state(gated(SemiInstance(1.0, spec), points)) == want
+    assert semi_state(fed(SemiInstance(1.0, spec), points)) == want
