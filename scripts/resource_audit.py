@@ -39,15 +39,20 @@ def audit(n, k, epsilon, seed):
         per_instance_cap = (2 * k + 2) if mode == "general" else (3 * k + 2)
         print(f"== {mode} ==")
         print(f"  ratio                 {cost / planted.planted_r:.3f}")
-        print(f"  lowest guess          {ladder.guesses[0]:.6g}")
-        print(f"  cost / lowest guess   {cost / ladder.guesses[0]:.3f}")
+        if ladder.guesses:
+            print(f"  lowest guess          {ladder.guesses[0]:.6g}")
+            print(f"  cost / lowest guess   {cost / ladder.guesses[0]:.3f}")
+        else:  # a stream at one location collapses to one center and spawns no grid
+            print("  lowest guess          none (one location)")
+            print("  cost / lowest guess   none (one location)")
         print(f"  per-instance peak     {ladder.per_instance_stored_peak:5d}  (cap {per_instance_cap})")
         print(f"  total stored peak     {ladder.total_stored_peak:5d}")
         print(f"  instances spawned     {ladder.spawned_count:5d}  (grid bound {ladder.grid_bound})")
         print(f"  instances live/pruned {ladder.live_count:5d} / {len(ladder.pruned)}")
         print(f"  distance evaluations  {ladder.total_distance_evals}")
-        performed = ladder.total_evals_performed
-        print(f"  evaluations performed {performed}  ({performed / ladder.total_distance_evals:.2f} of them)")
+        performed, logical = ladder.total_evals_performed, ladder.total_distance_evals
+        share = f"{performed / logical:.2f}" if logical else "none"
+        print(f"  evaluations performed {performed}  ({share} of them)")
         print(f"  worst update excess   {ladder.worst_update_excess}")
 
 

@@ -81,19 +81,19 @@ class IndependentSet:
         d, idx = self.metric.nearest(p, self.coords)
         return d, (self.members[idx] if idx >= 0 else None)
 
-    def offer(self, p: Point, scan: tuple[float, int] | None = None) -> OfferResult:
-        """Cover, store or refuse ``p``. ``scan`` is the caller's own counted
-        ``metric.nearest(p, coords)``, taken since the set's last change, so
-        the point is not scanned twice; without it the set scans and counts."""
+    def offer(self, p: Point, *, clear: bool = False) -> OfferResult:
+        """Cover, store or refuse ``p``. ``clear`` says the caller's own
+        counted scan, taken since the set's last change, found ``p`` farther
+        than the threshold from every member, so the set neither scans nor
+        tests cover; otherwise it scans and counts."""
         if self.overflowed:
             raise RuntimeError("offer to an overflowed set")
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
-        if scan is None:
+        if not clear:
             self.stats.distance_evals += len(self.coords)
-            scan = self.metric.nearest(p, self.coords)
-        if self.covers(*scan):
-            return OfferResult(OfferStatus.COVERED)
+            if self.covers(*self.metric.nearest(p, self.coords)):
+                return OfferResult(OfferStatus.COVERED)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
             return OfferResult(OfferStatus.OVERFLOW)

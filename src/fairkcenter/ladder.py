@@ -49,18 +49,18 @@ Every live rung takes each point through its gates. When the top rung
 stores the point in its own group's set, or overflows, the grid extends
 upward one step at a time, seeding each new instance by replaying what the
 top stored (then the point, if not stored); the grid's step factor covers
-the slack that replay seeding introduces. The trigger this replaced, a
-point beyond the top's threshold from all it stored, cost a scan of the
-other group's set. It differs in two ways:
+the slack that replay seeding introduces. The trigger reads only the top's
+own set, never the other group's, and differs in two safe ways from a
+point beyond the top's threshold from all it stored:
 
 * A general top also extends on a point it stores within its threshold of
-  the other group: a superset of the old triggers. The extra rungs sit
-  above all others and are seeded like any extension, the point included.
+  the other group, a superset of those points. The extra rungs sit above
+  all others and are seeded like any extension, the point included.
 * A semi top whose group 1 fits its cap does not admit a group-2 point
-  within 1.5 thresholds of ``reps1``, so it no longer extends on one beyond
+  within 1.5 thresholds of ``reps1``, so it does not extend on one beyond
   one threshold of both sets. Its union answer keeps every ``reps1``
   member, so it serves that point within three guesses, its own bound;
-  and the old extension's seed, what the top stored, lacked the point.
+  and an extension seeded by what the top stored would lack the point.
 
 NOTES
 -----
@@ -248,28 +248,28 @@ class Ladder:
         that stops proves the point changes nothing on that rung, and the
         scans after it are never made: a semi rung within its group-1 cap
         reads ``reps2`` before ``reps1``, so a group-2 point its newest
-        ``reps2`` member covers costs one evaluation. When none stops, each
-        scan was the exact one ``process`` would make, so ``process`` runs
-        on them; a group with no gate (a semi rung over its group-1 cap, or
-        a late group-1 point) takes the full ``process``. The
-        scans' counts are added to ``stats`` once, after every rung: the
-        excess ``process`` records does not depend on when they are added
-        (``_begin_update``). A general rung also overflows in ``process``
-        once its separation certificate holds k+1 points."""
+        ``reps2`` member covers costs one evaluation. When none stops, the
+        point is clear of every gate's set, and ``process`` takes the gates
+        as passed, so it scans none of them again; a group with no gate (a
+        semi rung over its group-1 cap, or a late group-1 point) takes the
+        full ``process``. The scans' counts are added to ``stats`` once,
+        after every rung: the excess ``process`` records does not depend on
+        when they are added (``_begin_update``). A general rung also
+        overflows in ``process`` once its separation certificate holds k+1
+        points."""
         group = point.group
         nearest = self.metric.nearest
         logical = skipped = 0
         for inst in rungs:
-            scans = ()
-            for coords, within in inst.gates.get(group, ()):
+            gates = inst.gates.get(group, ())
+            for coords, within in gates:
                 logical += len(coords)
                 d, idx = nearest(point, coords, within)
                 if d <= within:
                     skipped += idx  # the scan stopped at idx
                     break
-                scans += ((d, idx),)
             else:
-                inst.process(point, scans=scans)
+                inst.process(point, gates)
                 if inst.overflowed:
                     self._retire(inst)
         self.stats.distance_evals += logical

@@ -14,9 +14,7 @@ the optimum.
 
 from __future__ import annotations
 
-import math
-
-from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
+from .core import EUCLIDEAN, CenterSet, Coords, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
 from .solver import InfeasibleReason, SolveOutcome, SolverInstance
 
 
@@ -43,22 +41,22 @@ class SemiInstance(SolverInstance):
         """The recorded group-2 stand-ins, in the order recorded."""
         return list(self.replacement_of.values())
 
-    def process(self, point: Point, scans: tuple[tuple[float, int], ...] = ()) -> None:
-        """Feed one point. ``scans`` are the caller's exact scans of the
-        point's ``gates``, whose evaluations count toward this update."""
-        limit = self._begin_update(point, scans)
+    def process(self, point: Point, passed: tuple[tuple[list[Coords], float], ...] = ()) -> None:
+        """Feed one point. ``passed`` are the point's ``gates`` when the caller
+        scanned them and none stopped; their scans count toward this update."""
+        limit = self._begin_update(point, passed)
         if point.group == 1:
             if self.group2_started:
                 raise StreamOrderError(
                     f"point {point.id}: group-1 point after group-2 streaming began; "
                     "this solver requires all group-1 points first"
                 )
-            self._offer_own(point, scans[0] if scans else None)
+            self._offer_own(point, bool(passed))
         else:
-            self._process_group2(point, scans)
+            self._process_group2(point, passed)
         self._end_update(limit)
 
-    def _process_group2(self, point: Point, scans: tuple[tuple[float, int], ...]) -> None:
+    def _process_group2(self, point: Point, passed: tuple[tuple[list[Coords], float], ...]) -> None:
         lam = self.threshold
         group1_fits = len(self.reps1) <= self.spec.caps[0]
         if not self.group2_started:
@@ -75,15 +73,15 @@ class SemiInstance(SolverInstance):
             self.group2_started = True
             self.gates = {2: ((self.reps1.coords, 1.5 * lam),)} if group1_fits else {}
         if group1_fits:
-            # a gate scan that stops leaves the rung unchanged; past every
-            # gate, the point is clear of reps1 by 1.5 thresholds and of
-            # reps2 by one (an empty reps2's scan is (inf, -1))
-            if not scans:
-                scans = self._scan_gates(point)
-            if scans is None:
+            # past every gate the point is clear of reps2 by one threshold and
+            # of reps1 by 1.5; with none passed it is scanned here, as the
+            # gates would scan it (an empty reps2 counts and stops nothing)
+            if not passed and (
+                self.reps2.min_dist(point, lam) <= lam or self.reps1.min_dist(point, 1.5 * lam) <= 1.5 * lam
+            ):
                 return
             first = not self.reps2
-            self._offer_own(point, (math.inf, -1) if first else scans[0])
+            self._offer_own(point, True)
             if first and self.reps2:
                 self.gates = {2: ((self.reps2.coords, lam), (self.reps1.coords, 1.5 * lam))}
             return
@@ -94,25 +92,11 @@ class SemiInstance(SolverInstance):
         # two can both be within half a threshold of the point.
         dist1, nearest_rep = self.reps1.nearest(point)
         if dist1 > lam:
-            self._offer_own(point, None)
+            self._offer_own(point, False)
         elif dist1 <= lam / 2.0 and nearest_rep is not None:
             if nearest_rep.id not in self.replacement_of:
                 self.replacement_of[nearest_rep.id] = point
                 self._store(point)
-
-    def _scan_gates(self, point: Point) -> tuple[tuple[float, int], ...] | None:
-        """The group-2 gate scans, made and counted here as ``Ladder._feed``
-        makes them; None once one stops."""
-        stats = self.stats
-        scans = ()
-        for coords, within in self.gates[2]:
-            stats.distance_evals += len(coords)
-            d, idx = self.metric.nearest(point, coords, within)
-            if d <= within:
-                stats.evals_skipped += idx  # the scan stopped at idx
-                return None
-            scans += ((d, idx),)
-        return scans
 
     def finalize(self) -> SolveOutcome:
         """Assemble the centers; swaps surplus group-1 representatives for

@@ -66,7 +66,7 @@ class SolverInstance:
     rung owns, scanned in order. A point within the stop radius of a stored
     point in any of them leaves the rung unchanged. A point that none of them
     stops, or whose group has no gate, needs ``process``, which takes the
-    exact scans of the gates, when made, as ``scans``. By default each group's
+    gates the caller scanned, if any, as ``passed``. By default each group's
     gate is its own set at the threshold, the one set ``_offer_own`` reads.
     The ladder feeds every rung, the top included, this way; ``process``
     returns nothing, and the ladder reads what changed from the sets."""
@@ -110,10 +110,10 @@ class SolverInstance:
         self.stats.stored += 1
         self.stats.instance_peak = max(self.stats.instance_peak, len(self.stored_order))
 
-    def _begin_update(self, point: Point, scans: tuple[tuple[float, int], ...]) -> int:
+    def _begin_update(self, point: Point, passed: tuple[tuple[list[Coords], float], ...]) -> int:
         """Refuse a point the instance cannot take; return the evaluation count
         past which the update exceeds its budget of one per stored point (each
-        path scans each set at most once), net of the caller's gate ``scans``.
+        path scans each set at most once), net of the scans of the ``passed`` gates.
         Only the difference from the count at ``_end_update`` matters, so the
         excess is the same whether the caller adds its gate counts to
         ``stats`` before this call or after ``_end_update``."""
@@ -122,7 +122,7 @@ class SolverInstance:
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
         limit = self.stats.distance_evals + len(self.reps1) + len(self.reps2)
-        for coords, _ in self.gates[point.group] if scans else ():  # a loop: sum() of a generator is slower
+        for coords, _ in passed:  # a loop: sum() of a generator is slower
             limit -= len(coords)
         return limit
 
@@ -141,9 +141,9 @@ class SolverInstance:
             self.path = "overflow"
         return self.overflowed
 
-    def _offer_own(self, point: Point, scan: tuple[float, int] | None) -> None:
-        """Offer the point to its group's set (on ``scan`` when given): store, cover or overflow."""
-        res = self.reps[point.group].offer(point, scan)
+    def _offer_own(self, point: Point, clear: bool) -> None:
+        """Offer the point to its group's set, unscanned if ``clear``: store, cover or overflow."""
+        res = self.reps[point.group].offer(point, clear=clear)
         if res.status is OfferStatus.OVERFLOW:
             self.overflowed = True
         elif res.status is OfferStatus.ADDED:
@@ -167,13 +167,13 @@ class StreamInstance(SolverInstance):
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
     certificate: dict[int, list[Coords]] | None = None
 
-    def process(self, point: Point, scans: tuple[tuple[float, int], ...] = ()) -> None:
-        """Route the point to its group's set by ``_offer_own``. ``scans`` holds
-        the caller's scan of that set, its one gate, whose evaluations count
-        toward this update, as do those of the certificate's scan."""
-        limit = self._begin_update(point, scans)
+    def process(self, point: Point, passed: tuple[tuple[list[Coords], float], ...] = ()) -> None:
+        """Route the point to its group's set by ``_offer_own``. ``passed`` is
+        that set's gate when the caller scanned it: the point is clear of the
+        set, and the scan counts toward this update, as does the certificate's."""
+        limit = self._begin_update(point, passed)
         stored = len(self.stored_order)
-        self._offer_own(point, scans[0] if scans else None)
+        self._offer_own(point, bool(passed))
         if self.certificate is not None and len(self.stored_order) > stored:
             self._certify(point)
         self._end_update(limit)

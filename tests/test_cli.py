@@ -84,6 +84,19 @@ def test_reader_empty_file():
         reader_for("")
 
 
+def test_reader_group_column_index_out_of_range():
+    with pytest.raises(CsvFormatError, match="^line 1: group column index 5 out of range$"):
+        reader_for("x,group\n0,1\n", group_col="5")
+
+
+def test_reader_skips_a_blank_row_and_keeps_ids_consecutive():
+    points = list(reader_for("x,group\n0,1\n\n2,2\n"))
+    assert [(p.id, p.coords, p.group) for p in points] == [(0, (0.0,), 1), (1, (2.0,), 2)]
+    # the blank row still counts toward the line numbers errors name
+    with pytest.raises(CsvFormatError, match="^line 5: "):
+        list(reader_for("x,group\n0,1\n\n2,2\nbad,1\n"))
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -191,6 +204,25 @@ def test_bench_emits_rows(tmp_path, capsys):
     ladder_row = next(r for r in rows if r["algorithm"] == "ladder-general")
     assert ladder_row["caps_respected"] is True
     assert ladder_row["ratio"] is not None
+
+
+def test_bench_past_the_oracle_size_guard_has_no_oracle_row_and_no_ratios(tmp_path, capsys):
+    # 20 points exceed the exhaustive oracle's n <= 16 guard
+    rows_csv = "".join(f"{10 * i},{1 + i % 2}\n" for i in range(20))
+    path = write(tmp_path, "twenty.csv", "x,group\n" + rows_csv)
+    rc = main(["bench", "--input", path, "--caps", "1,1"])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows and "oracle" not in {row["algorithm"] for row in rows}
+    assert all(row["ratio"] is None and row["caps_respected"] for row in rows)
+
+
+def test_gen_without_out_is_a_structured_error(capsys):
+    rc = main(["gen", "--caps", "1,1", "--n", "10", "--radius", "1.0"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["message"] == "gen mode requires --out (the CSV path to write)"
 
 
 def test_bench_includes_the_sorted_stream_solver_on_sorted_input(tmp_path, capsys):

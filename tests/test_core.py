@@ -255,6 +255,8 @@ def test_fairness_spec_validation():
         FairnessSpec((0, 0))
     spec = FairnessSpec((1, 2))
     assert (spec.m, spec.k, spec.cap(1), spec.cap(2)) == (2, 3, 1, 2)
+    with pytest.raises(ValueError, match=r"^group 0 outside 1\.\.2$"):
+        spec.cap(0)
 
 
 @pytest.mark.parametrize("cap", [2.5, 0.9, math.nan, math.inf, "2"])

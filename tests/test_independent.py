@@ -84,6 +84,13 @@ def test_overflow_is_sticky():
         s.offer(pt(2, 20.0))
 
 
+def test_a_negative_threshold_or_cap_is_refused():
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        IndependentSet(-1.0)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        IndependentSet(1.0, cap=-1)
+
+
 def test_group_filter_mismatch():
     s = IndependentSet(2.0, group_filter=1)
     with pytest.raises(ValueError, match="group"):
@@ -111,6 +118,32 @@ def test_offer_costs_exactly_one_eval_per_member():
         members_before = len(s)
         s.offer(pt(i, x))
         assert s.stats.distance_evals - before == members_before
+
+
+def test_a_clear_offer_stores_without_a_scan_and_keeps_its_refusals():
+    s = IndependentSet(3.0, cap=2, group_filter=1)
+    s.offer(pt(0, 0.0))
+    stats = (s.stats.distance_evals, s.stats.evals_skipped)
+    # clear: the caller's own scan found the point beyond the threshold, so
+    # the set neither scans nor tests cover
+    assert s.offer(pt(1, 10.0), clear=True).status is OfferStatus.ADDED
+    with pytest.raises(ValueError, match="set accepts group 1"):
+        s.offer(pt(2, 20.0, group=2), clear=True)
+    assert s.offer(pt(3, 20.0), clear=True).status is OfferStatus.OVERFLOW
+    assert s.overflowed and [p.id for p in s.members] == [0, 1]
+    with pytest.raises(RuntimeError, match="overflowed"):
+        s.offer(pt(4, 30.0), clear=True)
+    assert (s.stats.distance_evals, s.stats.evals_skipped) == stats
+
+
+def test_clear_is_keyword_only_so_an_old_scan_argument_is_refused():
+    s = IndependentSet(3.0)
+    s.offer(pt(0, 0.0))
+    # a (distance, index) scan passed where a scan used to go would be truthy,
+    # and would store a covered point unscanned
+    with pytest.raises(TypeError):
+        s.offer(pt(1, 1.0), (math.inf, -1))
+    assert s.offer(pt(1, 1.0)).status is OfferStatus.COVERED and len(s) == 1
 
 
 offer_rows = st.lists(

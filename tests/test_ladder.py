@@ -453,6 +453,8 @@ def test_observe_after_finish_raises():
     ladder.finish()
     with pytest.raises(RuntimeError):
         ladder.observe(pt(1, 1.0, 1))
+    with pytest.raises(RuntimeError, match="finish is one-shot"):
+        ladder.finish()
 
 
 @pytest.mark.filterwarnings("default::UserWarning")

@@ -356,6 +356,13 @@ def test_gonzalez_single_point():
     assert centers.ids() == (0,)
 
 
+def test_gonzalez_refuses_no_centers_and_no_points():
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        gonzalez([pt(0, 1.0, 1)], 0)
+    with pytest.raises(ValueError, match="empty dataset"):
+        gonzalez([], 2)
+
+
 def test_gonzalez_within_twice_unconstrained_optimum(rng):
     import itertools
 
@@ -406,6 +413,22 @@ def test_planted_every_cluster_pins_its_radius():
         members = [p for p in planted.points if EUCLIDEAN(p, anchor) <= 1.0 + 1e-9]
         best_single = min(max(EUCLIDEAN(c, q) for q in members) for c in members)
         assert best_single >= 1.0 - 1e-9
+
+
+def test_planted_odd_leftover_gives_an_unpaired_cluster_one_boundary_point():
+    # k = 4 anchors and 3 more points: one cluster gets its opposed pair, the
+    # next the odd leftover as one boundary point, and no point is scattered
+    spec = FairnessSpec((2, 2))
+    planted = generate_planted(spec, 7, 1.0, seed=0, shuffle=False)
+    anchors = list(planted.planted_centers)
+    rest = planted.points[4:]
+    assert [EUCLIDEAN(p, anchors[j]) for p, j in zip(rest, (0, 0, 1))] == pytest.approx([1.0] * 3)
+    assert [p.group for p in rest] == [anchors[0].group, anchors[0].group, anchors[1].group]
+    # below n = 3k the planted radius is only an upper bound on the optimum
+    # (up to the rounding of anchor + u)
+    assert brute_force_opt(planted.points, spec).r_opt <= planted.planted_r + 1e-9
+    shuffled = generate_planted(spec, 7, 1.0)
+    assert brute_force_opt(shuffled.points, spec).r_opt <= shuffled.planted_r + 1e-9
 
 
 def test_planted_n_equals_k_is_exactly_the_anchors():

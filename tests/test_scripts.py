@@ -1,5 +1,6 @@
 """The experiment scripts still run against the package, at small sizes,
-and the benchmark's tracer still installs on it."""
+the benchmark's tracer still installs on it, and README's size figures
+match the tree."""
 
 import importlib
 import importlib.util
@@ -12,12 +13,14 @@ from types import SimpleNamespace
 
 import pytest
 
+import fairkcenter
 from fairkcenter import FairnessSpec, Ladder
 
 from conftest import stream
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize(
@@ -77,6 +80,16 @@ def test_resource_audit_prints_a_lowest_guess_at_or_below_the_planted_radius():
     assert len(lowest) == 2, proc.stdout  # general and semi
     # the planted radius 1.0 is the optimum, and the lowest guess bounds it
     assert all(0 < float(guess) <= 1.0 and float(ratio) > 0 for guess, ratio in lowest)
+
+
+def test_resource_audit_on_a_one_point_stream_reports_no_grid():
+    # one point is one location: the ladder spawns no grid and evaluates nothing
+    argv = [sys.executable, str(SCRIPTS / "resource_audit.py"), "--n", "1", "--k", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("  lowest guess          none (one location)\n") == 2, proc.stdout
+    assert proc.stdout.count("  cost / lowest guess   none (one location)\n") == 2, proc.stdout
+    assert proc.stdout.count("  evaluations performed 0  (none of them)\n") == 2, proc.stdout
 
 
 def test_the_benchmark_tracer_still_installs(monkeypatch):
@@ -145,3 +158,13 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
     assert summary["pairs"] == 1
     assert summary["change"]["solve_s"] == pair["change"]["metrics"]["solve_s"]["value"]
     assert set(summary["change_better_pairs"]) <= set(pair["parent"]["metrics"])
+
+
+def test_readme_states_the_src_line_count_and_the_export_count():
+    # the two size figures the roadmap tracks, kept true at every change
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"(\d+) lines under `src/` and exports (\d+) names", readme)
+    assert len(stated) == 1, stated
+    # as `cat src/fairkcenter/*.py | wc -l` counts them: newline characters
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "fairkcenter").glob("*.py"))
+    assert (int(stated[0][0]), int(stated[0][1])) == (lines, len(fairkcenter.__all__))

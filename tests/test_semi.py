@@ -186,9 +186,9 @@ def test_update_time_monitor_catches_a_second_scan():
     assert inst.stats.update_excess == 0
     once = inst.reps2.offer
 
-    def offer_after_a_second_scan(p, scan=None):
+    def offer_after_a_second_scan(p, *, clear=False):
         inst.reps2.nearest(p)  # scans group 2 once more
-        return once(p, scan)
+        return once(p, clear=clear)
 
     inst.reps2.offer = offer_after_a_second_scan
     # 15 is 5 from both reps2 members and 15 > 3 from reps1, so it reaches
@@ -243,14 +243,14 @@ class Reps1FirstSemi(SemiInstance):
     group-2 point takes a full ``reps1`` scan, and only a point it admits
     is offered to ``reps2``, which scans it there. Never gated."""
 
-    def _process_group2(self, point, scans):
+    def _process_group2(self, point, passed):
         lam = self.threshold
         group1_fits = len(self.reps1) <= self.spec.caps[0]
         self.group2_started = True
         self.gates = {}
         dist1, nearest_rep = self.reps1.nearest(point)
         if dist1 > (1.5 * lam if group1_fits else lam):
-            self._offer_own(point, None)
+            self._offer_own(point, False)
         elif not group1_fits and dist1 <= lam / 2.0 and nearest_rep is not None:
             if nearest_rep.id not in self.replacement_of:
                 self.replacement_of[nearest_rep.id] = point
@@ -266,20 +266,24 @@ def until_overflow(inst, points):
     return inst
 
 
+def through_gates(inst, p):
+    """Feed ``p`` as ``Ladder._feed`` feeds a rung: through its gates, in
+    order, with ``process`` on the gates passed only when no gate scan stops;
+    the gate scans' logical and skipped counts go into ``stats`` too."""
+    gates = inst.gates.get(p.group, ())
+    for coords, within in gates:
+        inst.stats.distance_evals += len(coords)
+        d, idx = inst.metric.nearest(p, coords, within)
+        if d <= within:
+            inst.stats.evals_skipped += idx  # the scan stopped at idx
+            return
+    inst.process(p, gates)
+
+
 def gated(inst, points):
-    """Feed ``points`` as ``Ladder._feed`` feeds a rung: through its gates,
-    in order, with ``process`` only when no gate scan stops; the gate scans'
-    logical counts go into ``stats`` too."""
+    """Feed ``points`` through ``through_gates`` until the rung overflows."""
     for p in points:
-        scans = ()
-        for coords, within in inst.gates.get(p.group, ()):
-            inst.stats.distance_evals += len(coords)
-            d, idx = inst.metric.nearest(p, coords, within)
-            if d <= within:
-                break
-            scans += ((d, idx),)
-        else:
-            inst.process(p, scans=scans)
+        through_gates(inst, p)
         if inst.overflowed:
             break
     return inst
@@ -336,14 +340,33 @@ def test_reps2_first_matches_the_reps1_first_reference(rng):
 
 
 def test_gated_and_ungated_updates_count_the_same_logical_evaluations(rng):
+    # point by point, a bare process of a group-2 point on a rung whose group
+    # 1 fits its cap scans as the gates do: it adds the logical and the made
+    # counts of the gate scans plus the gated process. Whole streams differ
+    # only in made counts, because a bare group-1 offer scans in full.
+    reached = {"fits": 0, "over": 0, "skipped": 0}
     for trial in range(60):
         points, spec = random_two_group_instance(rng)
         guess = float(rng.integers(1, 9)) / 2.0
-        order = group_sorted(points)
-        ungated = until_overflow(SemiInstance(guess, spec), order)
-        through_gates = gated(SemiInstance(guess, spec), order)
-        assert through_gates.stats.distance_evals == ungated.stats.distance_evals, trial
-        assert through_gates.stats.update_excess <= 0 and ungated.stats.update_excess <= 0
+        bare, fed = SemiInstance(guess, spec), SemiInstance(guess, spec)
+        for p in group_sorted(points):
+            evals, skipped = bare.stats.distance_evals, bare.stats.evals_skipped
+            gated_evals, gated_skipped = fed.stats.distance_evals, fed.stats.evals_skipped
+            bare.process(p)
+            through_gates(fed, p)
+            assert bare.stored_order == fed.stored_order and bare.overflowed == fed.overflowed, trial
+            if p.group == 2:
+                fits = len(bare.reps1) <= spec.caps[0]
+                reached["fits" if fits else "over"] += 1
+                if fits:
+                    assert bare.stats.distance_evals - evals == fed.stats.distance_evals - gated_evals, trial
+                    assert bare.stats.evals_skipped - skipped == fed.stats.evals_skipped - gated_skipped, trial
+                    reached["skipped"] += bare.stats.evals_skipped > skipped
+            if bare.overflowed:
+                break
+        assert fed.stats.distance_evals == bare.stats.distance_evals, trial
+        assert fed.stats.update_excess <= 0 and bare.stats.update_excess <= 0
+    assert all(reached.values()), reached
 
 
 def test_a_fitting_rung_gates_reps2_first_from_its_first_member_on():

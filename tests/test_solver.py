@@ -246,9 +246,9 @@ def test_update_time_monitor_catches_a_second_scan():
     assert inst.stats.update_excess == 0
     once = inst.reps1.offer
 
-    def offer_after_a_second_scan(p, scan=None):
+    def offer_after_a_second_scan(p, *, clear=False):
         inst.reps1.nearest(p)  # scans the own set once more
-        return once(p, scan)
+        return once(p, clear=clear)
 
     inst.reps1.offer = offer_after_a_second_scan
     # covered by reps1, whose members are scanned twice against a budget of
