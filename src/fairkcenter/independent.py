@@ -56,12 +56,6 @@ class IndependentSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def covers(self, d: float, idx: int) -> bool:
-        """Whether a scan result covers its point: a point at exactly the
-        threshold stays covered, and only a real nearest point can cover,
-        even under an infinite threshold."""
-        return idx >= 0 and d <= self.threshold
-
     def min_dist(self, p: Point, within: float = NO_STOP) -> float:
         """Distance from ``p`` to the nearest stored point; inf when empty.
         Given ``within``, the scan stops at the newest stored point that
@@ -85,14 +79,16 @@ class IndependentSet:
         """Cover, store or refuse ``p``. ``clear`` says the caller's own
         counted scan, taken since the set's last change, found ``p`` farther
         than the threshold from every member, so the set neither scans nor
-        tests cover; otherwise it scans and counts."""
+        tests cover; otherwise it scans and counts, and any member within the
+        threshold, or at it, covers ``p`` (an empty set covers nothing)."""
         if self.overflowed:
             raise RuntimeError("offer to an overflowed set")
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
         if not clear:
             self.stats.distance_evals += len(self.coords)
-            if self.covers(*self.metric.nearest(p, self.coords)):
+            d, idx = self.metric.nearest(p, self.coords)
+            if idx >= 0 and d <= self.threshold:
                 return OfferResult(OfferStatus.COVERED)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True

@@ -249,14 +249,13 @@ class Ladder:
         scans after it are never made: a semi rung within its group-1 cap
         reads ``reps2`` before ``reps1``, so a group-2 point its newest
         ``reps2`` member covers costs one evaluation. When none stops, the
-        point is clear of every gate's set, and ``process`` takes the gates
-        as passed, so it scans none of them again; a group with no gate (a
+        point is clear of every gate's set, and ``process`` is told so
+        (``clear``), so it scans none of them again; a group with no gate (a
         semi rung over its group-1 cap, or a late group-1 point) takes the
         full ``process``. The scans' counts are added to ``stats`` once,
         after every rung: the excess ``process`` records does not depend on
-        when they are added (``_begin_update``). A general rung also
-        overflows in ``process`` once its separation certificate holds k+1
-        points."""
+        when they are added. A general rung also overflows in ``process``
+        once its separation certificate holds k+1 points."""
         group = point.group
         nearest = self.metric.nearest
         logical = skipped = 0
@@ -269,7 +268,7 @@ class Ladder:
                     skipped += idx  # the scan stopped at idx
                     break
             else:
-                inst.process(point, gates)
+                inst.process(point, clear=bool(gates))
                 if inst.overflowed:
                     self._retire(inst)
         self.stats.distance_evals += logical

@@ -14,7 +14,7 @@ the optimum.
 
 from __future__ import annotations
 
-from .core import EUCLIDEAN, CenterSet, Coords, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
+from .core import EUCLIDEAN, CenterSet, DistanceMetric, FairnessSpec, Point, RunStats, check_fairness
 from .solver import InfeasibleReason, SolveOutcome, SolverInstance
 
 
@@ -41,22 +41,22 @@ class SemiInstance(SolverInstance):
         """The recorded group-2 stand-ins, in the order recorded."""
         return list(self.replacement_of.values())
 
-    def process(self, point: Point, passed: tuple[tuple[list[Coords], float], ...] = ()) -> None:
-        """Feed one point. ``passed`` are the point's ``gates`` when the caller
-        scanned them and none stopped; their scans count toward this update."""
-        limit = self._begin_update(point, passed)
+    process = SolverInstance.process
+    finalize = SolverInstance.finalize
+
+    def _update(self, point: Point, clear: bool) -> None:
+        """Refuse a group-1 point after group 2 began; route the rest by group."""
         if point.group == 1:
             if self.group2_started:
                 raise StreamOrderError(
                     f"point {point.id}: group-1 point after group-2 streaming began; "
                     "this solver requires all group-1 points first"
                 )
-            self._offer_own(point, bool(passed))
+            self._offer_own(point, clear)
         else:
-            self._process_group2(point, passed)
-        self._end_update(limit)
+            self._process_group2(point, clear)
 
-    def _process_group2(self, point: Point, passed: tuple[tuple[list[Coords], float], ...]) -> None:
+    def _process_group2(self, point: Point, clear: bool) -> None:
         lam = self.threshold
         group1_fits = len(self.reps1) <= self.spec.caps[0]
         if not self.group2_started:
@@ -74,9 +74,9 @@ class SemiInstance(SolverInstance):
             self.gates = {2: ((self.reps1.coords, 1.5 * lam),)} if group1_fits else {}
         if group1_fits:
             # past every gate the point is clear of reps2 by one threshold and
-            # of reps1 by 1.5; with none passed it is scanned here, as the
+            # of reps1 by 1.5; unless told clear it is scanned here, as the
             # gates would scan it (an empty reps2 counts and stops nothing)
-            if not passed and (
+            if not clear and (
                 self.reps2.min_dist(point, lam) <= lam or self.reps1.min_dist(point, 1.5 * lam) <= 1.5 * lam
             ):
                 return
@@ -98,11 +98,9 @@ class SemiInstance(SolverInstance):
                 self.replacement_of[nearest_rep.id] = point
                 self._store(point)
 
-    def finalize(self) -> SolveOutcome:
+    def _select(self) -> SolveOutcome:
         """Assemble the centers; swaps surplus group-1 representatives for
-        their stand-ins when group 1 exceeded its cap. One-shot."""
-        if self._begin_finalize():
-            return SolveOutcome.infeasible(InfeasibleReason.STREAM_OVERFLOW)
+        their stand-ins when group 1 exceeded its cap."""
         k1 = self.spec.caps[0]
         if len(self.reps1) <= k1:
             self.path = "union"

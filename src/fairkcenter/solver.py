@@ -55,21 +55,21 @@ class SolverInstance:
     """Lifecycle bookkeeping both one-pass solvers share: the radius guess
     and its separation threshold, one representative set per group, and the
     points stored so far, counted into ``stats``. ``cap2`` bounds the group-2
-    set (k by default, as for group 1). The update skeleton is shared too:
-    ``_begin_update`` / ``_end_update`` and ``_begin_finalize``. Each subclass
-    still defines its own ``process`` and ``finalize`` around them: the
-    benchmark's tracer wraps ``vars(cls)`` entries class by class, so
-    inherited ones break ``python -m pytest perfbench``.
+    set (k by default, as for group 1). ``process`` and ``finalize`` are
+    shared too: each holds the guards and bookkeeping of both solvers and
+    calls the solver's own hook, ``_update`` or ``_select``. Each subclass
+    names both in its own class body, where the benchmark's tracer looks for
+    them (it wraps ``vars(cls)`` entries class by class).
 
     ``gates`` maps a group to the scans that decide whether a point of that
     group can change the rung: (stored coordinates, stop radius) pairs the
     rung owns, scanned in order. A point within the stop radius of a stored
     point in any of them leaves the rung unchanged. A point that none of them
-    stops, or whose group has no gate, needs ``process``, which takes the
-    gates the caller scanned, if any, as ``passed``. By default each group's
-    gate is its own set at the threshold, the one set ``_offer_own`` reads.
-    The ladder feeds every rung, the top included, this way; ``process``
-    returns nothing, and the ladder reads what changed from the sets."""
+    stops, or whose group has no gate, needs ``process``, told ``clear`` when
+    the caller scanned the point's gates. By default each group's gate is
+    its own set at the threshold, the one set ``_offer_own`` reads. The
+    ladder feeds every rung, the top included, this way; ``process`` returns
+    nothing, and the ladder reads what changed from the sets."""
 
     def __init__(
         self, radius_guess: float, spec: FairnessSpec, metric: DistanceMetric = EUCLIDEAN,
@@ -110,36 +110,37 @@ class SolverInstance:
         self.stats.stored += 1
         self.stats.instance_peak = max(self.stats.instance_peak, len(self.stored_order))
 
-    def _begin_update(self, point: Point, passed: tuple[tuple[list[Coords], float], ...]) -> int:
-        """Refuse a point the instance cannot take; return the evaluation count
-        past which the update exceeds its budget of one per stored point (each
-        path scans each set at most once), net of the scans of the ``passed`` gates.
-        Only the difference from the count at ``_end_update`` matters, so the
-        excess is the same whether the caller adds its gate counts to
-        ``stats`` before this call or after ``_end_update``."""
+    def process(self, point: Point, *, clear: bool = False) -> None:
+        """Feed one point, refusing one the instance cannot take. ``clear``
+        says the caller scanned the point's ``gates`` (KeyError if its group
+        has none) and none stopped; their scans count toward this update,
+        whose budget is one evaluation per stored point (each path scans each
+        set at most once). The worst excess is kept in ``stats``; the caller
+        may add its gate counts to ``stats`` before or after the call."""
         if self.finalized or self.overflowed:
             raise RuntimeError(f"instance already {'finalized' if self.finalized else 'overflowed'}")
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
-        limit = self.stats.distance_evals + len(self.reps1) + len(self.reps2)
-        for coords, _ in passed:  # a loop: sum() of a generator is slower
-            limit -= len(coords)
-        return limit
+        stats = self.stats
+        limit = stats.distance_evals + len(self.reps1) + len(self.reps2)
+        if clear:
+            for coords, _ in self.gates[point.group]:  # a loop: sum() of a generator is slower
+                limit -= len(coords)
+        self._update(point, clear)
+        excess = stats.distance_evals - limit
+        if excess > stats.update_excess:
+            stats.update_excess = excess
 
-    def _end_update(self, limit: int) -> None:
-        """Keep the update's evaluations past ``limit`` if the worst excess yet."""
-        excess = self.stats.distance_evals - limit
-        if excess > self.stats.update_excess:
-            self.stats.update_excess = excess
-
-    def _begin_finalize(self) -> bool:
-        """Mark the instance finalized (one-shot); True, ``path`` set, if it overflowed."""
+    def finalize(self) -> SolveOutcome:
+        """Select centers from the stored points by ``_select``, or report the
+        overflow, with ``path`` "overflow". One-shot."""
         if self.finalized:
             raise RuntimeError("finalize is one-shot")
         self.finalized = True
         if self.overflowed:
             self.path = "overflow"
-        return self.overflowed
+            return SolveOutcome.infeasible(InfeasibleReason.STREAM_OVERFLOW)
+        return self._select()
 
     def _offer_own(self, point: Point, clear: bool) -> None:
         """Offer the point to its group's set, unscanned if ``clear``: store, cover or overflow."""
@@ -167,16 +168,16 @@ class StreamInstance(SolverInstance):
     last_graph: CrossGroupGraph | None = None  # set by a both-over finalize
     certificate: dict[int, list[Coords]] | None = None
 
-    def process(self, point: Point, passed: tuple[tuple[list[Coords], float], ...] = ()) -> None:
-        """Route the point to its group's set by ``_offer_own``. ``passed`` is
-        that set's gate when the caller scanned it: the point is clear of the
-        set, and the scan counts toward this update, as does the certificate's."""
-        limit = self._begin_update(point, passed)
+    process = SolverInstance.process
+    finalize = SolverInstance.finalize
+
+    def _update(self, point: Point, clear: bool) -> None:
+        """Offer the point to its group's set by ``_offer_own``, then a point
+        it stored to the certificate."""
         stored = len(self.stored_order)
-        self._offer_own(point, bool(passed))
+        self._offer_own(point, clear)
         if self.certificate is not None and len(self.stored_order) > stored:
             self._certify(point)
-        self._end_update(limit)
 
     def _certify(self, point: Point) -> None:
         """Offer a just-stored point to the certificate; overflow at k+1
@@ -192,10 +193,8 @@ class StreamInstance(SolverInstance):
         if len(cert[1]) + len(cert[2]) > self.spec.k:
             self.overflowed = True
 
-    def finalize(self) -> SolveOutcome:
-        """Select centers from the stored representatives. One-shot."""
-        if self._begin_finalize():
-            return SolveOutcome.infeasible(InfeasibleReason.STREAM_OVERFLOW)
+    def _select(self) -> SolveOutcome:
+        """Select centers from the stored representatives by the caps' path."""
         g1, g2 = self.reps[1], self.reps[2]
         k1, k2 = self.spec.caps
         over1, over2 = len(g1) > k1, len(g2) > k2

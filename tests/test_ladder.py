@@ -628,15 +628,17 @@ def _dispatch_streams(mode):
 
 
 def _check_event_dispatch_against_the_reference(monkeypatch, mode):
-    covers = IndependentSet.covers
+    offer = IndependentSet.offer
     nearest = DistanceMetric.nearest
     ties = []
     gate_stops = []
 
-    def counting_covers(self, d, idx):
-        if idx >= 0 and d == self.threshold:
-            ties.append(d)
-        return covers(self, d, idx)
+    def counting_offer(self, p, *, clear=False):
+        if not clear:  # the scanned path: a tie is a member exactly one threshold away
+            d, idx = nearest(self.metric, p, self.coords)
+            if idx >= 0 and d == self.threshold:
+                ties.append(d)
+        return offer(self, p, clear=clear)
 
     def recording_nearest(self, p, stored, within=NO_STOP):
         d, idx = nearest(self, p, stored, within)
@@ -652,7 +654,7 @@ def _check_event_dispatch_against_the_reference(monkeypatch, mode):
         ladder = Ladder(spec, epsilon=epsilon, mode=mode)
         reference = ReferenceLadder(spec, epsilon=epsilon, mode=mode)
         with monkeypatch.context() as patch:
-            patch.setattr(IndependentSet, "covers", counting_covers)
+            patch.setattr(IndependentSet, "offer", counting_offer)
             patch.setattr(DistanceMetric, "nearest", recording_nearest)
             for p in points:
                 before = (ladder.bootstrapping, ladder.spawned_count, len(ladder.pruned))

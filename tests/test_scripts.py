@@ -82,6 +82,20 @@ def test_resource_audit_prints_a_lowest_guess_at_or_below_the_planted_radius():
     assert all(0 < float(guess) <= 1.0 and float(ratio) > 0 for guess, ratio in lowest)
 
 
+def test_resource_audit_labels_the_planted_radius_figure_and_notes_it_below_3k():
+    # two points, one per group, caps (1, 1): the optimum is 0, not the
+    # planted radius, so the figure over it is no ratio to the optimum
+    note = "    (n < 3k: the planted radius only bounds the optimum from above)\n"
+    for argv, noted in ((["--n", "2", "--k", "2"], 2), (["--n", "300", "--k", "6"], 0)):
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "resource_audit.py"), *argv],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(re.findall(r"^  cost / planted radius \d+\.\d{3}$", proc.stdout, re.M)) == 2, proc.stdout
+        assert proc.stdout.count(note) == noted, proc.stdout
+        assert "  ratio " not in proc.stdout
+        assert proc.stdout.count("  cost / lowest guess   ") == 2, proc.stdout
+
+
 def test_resource_audit_on_a_one_point_stream_reports_no_grid():
     # one point is one location: the ladder spawns no grid and evaluates nothing
     argv = [sys.executable, str(SCRIPTS / "resource_audit.py"), "--n", "1", "--k", "1"]

@@ -243,7 +243,7 @@ class Reps1FirstSemi(SemiInstance):
     group-2 point takes a full ``reps1`` scan, and only a point it admits
     is offered to ``reps2``, which scans it there. Never gated."""
 
-    def _process_group2(self, point, passed):
+    def _process_group2(self, point, clear):
         lam = self.threshold
         group1_fits = len(self.reps1) <= self.spec.caps[0]
         self.group2_started = True
@@ -268,8 +268,8 @@ def until_overflow(inst, points):
 
 def through_gates(inst, p):
     """Feed ``p`` as ``Ladder._feed`` feeds a rung: through its gates, in
-    order, with ``process`` on the gates passed only when no gate scan stops;
-    the gate scans' logical and skipped counts go into ``stats`` too."""
+    order, with ``process`` told ``clear`` only when it has gates and no gate
+    scan stops; the gate scans' logical and skipped counts go into ``stats`` too."""
     gates = inst.gates.get(p.group, ())
     for coords, within in gates:
         inst.stats.distance_evals += len(coords)
@@ -277,7 +277,7 @@ def through_gates(inst, p):
         if d <= within:
             inst.stats.evals_skipped += idx  # the scan stopped at idx
             return
-    inst.process(p, gates)
+    inst.process(p, clear=bool(gates))
 
 
 def gated(inst, points):
@@ -367,6 +367,19 @@ def test_gated_and_ungated_updates_count_the_same_logical_evaluations(rng):
         assert fed.stats.distance_evals == bare.stats.distance_evals, trial
         assert fed.stats.update_excess <= 0 and bare.stats.update_excess <= 0
     assert all(reached.values()), reached
+
+
+def test_clear_for_a_group_with_no_gate_raises_instead_of_storing_unscanned():
+    # over its group-1 cap a semi rung gates no group-2 point, so no caller
+    # has scanned one clear; told so anyway, process refuses before any change
+    inst = fed(SemiInstance(1.0, FairnessSpec((1, 3))), stream([(0.0, 1), (10.0, 1), (20.0, 2)]))
+    assert inst.gates == {}
+    covered = pt(3, 21.0, 2)  # 1 from the reps2 member 20: unscanned it would be stored
+    with pytest.raises(KeyError):
+        inst.process(covered, clear=True)
+    assert [p.id for p in inst.stored_order] == [0, 1, 2]
+    inst.process(covered)
+    assert [p.id for p in inst.stored_order] == [0, 1, 2] and not inst.overflowed
 
 
 def test_a_fitting_rung_gates_reps2_first_from_its_first_member_on():

@@ -9,6 +9,7 @@ from fairkcenter import (
     FairnessSpec,
     IndependentSet,
     InfeasibleReason,
+    SemiInstance,
     SolveOutcome,
     StreamInstance,
     brute_force_opt,
@@ -265,6 +266,33 @@ def test_finalize_is_one_shot():
         inst.finalize()
     with pytest.raises(RuntimeError):
         inst.process(pt(1, 2.0, 1))
+
+
+@pytest.mark.parametrize("solver", [StreamInstance, SemiInstance], ids=["general", "semi"])
+def test_both_solvers_share_the_lifecycle_guards(solver):
+    # one process and one finalize serve both solvers: the same guards and
+    # the same overflow outcome
+    inst = solver(1.0, SPEC_11)  # threshold 2, each set capped at k = 2
+    inst.process(pt(0, 0.0, 1))
+    with pytest.raises(TypeError):
+        inst.process(pt(1, 10.0, 1), inst.gates[1])  # clear is keyword-only
+    assert inst.stored_count == 1
+    assert inst.finalize().feasible and inst.path == "union"
+    with pytest.raises(RuntimeError, match="one-shot"):
+        inst.finalize()
+    with pytest.raises(RuntimeError, match="already finalized"):
+        inst.process(pt(1, 10.0, 1))
+
+    over = solver(1.0, SPEC_11)
+    for i, x in enumerate([0.0, 10.0, 20.0]):  # the third clears both members
+        over.process(pt(i, x, 1))
+    assert over.overflowed and over.stored_count == 2
+    with pytest.raises(RuntimeError, match="already overflowed"):
+        over.process(pt(3, 30.0, 1))
+    out = over.finalize()
+    assert out.reason is InfeasibleReason.STREAM_OVERFLOW and over.path == "overflow"
+    with pytest.raises(RuntimeError, match="one-shot"):
+        over.finalize()
 
 
 def test_injected_metric_threads_through_the_whole_solve():
