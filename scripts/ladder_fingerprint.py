@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Print one JSON line per benchmark ladder solve, to check that a change
-leaves every ladder result and counter as it was.
+"""Print one JSON line per benchmark ladder solve and per oracle-check
+instance, to check that a change leaves every result and counter as it was.
 
-The inputs are the planted datasets of the benchmark's planted-general and
-planted-semi workloads (``perfbench/workloads.py``, imported read-only),
-written to a temporary directory and streamed through ``cli.PointReader``
-as the benchmark streams them: the semi stream is sorted by group, then by
-x0, and the reader renumbers the ids. Floats are printed as hex bits, so
+The ladder inputs are the planted datasets of the benchmark's
+planted-general and planted-semi workloads (``perfbench/workloads.py``,
+imported read-only), written to a temporary directory and streamed through
+``cli.PointReader`` as the benchmark streams them: the semi stream is
+sorted by group, then by x0, and the reader renumbers the ids. Then comes
+one line per instance of the oracle-check pool (``workloads.setup_oracle``)
+of each seed: the exhaustive optimum, and each one-pass solver fed at that
+radius as ``ladder.run_known`` feeds it. Floats are printed as hex bits, so
 equal output means bit-identical results. To compare two source trees::
 
     python3 scripts/ladder_fingerprint.py --root /path/to/other/tree > before.jsonl
@@ -16,8 +19,10 @@ equal output means bit-identical results. To compare two source trees::
 ``--root`` names the tree whose ``src`` and ``perfbench`` are used; it
 defaults to the checkout holding this script. ``--results`` prints only the
 result fields (workload, seed, dataset, ``best_guess``, cost and
-``center_ids``), so a change that should keep every answer while moving
-counters is checked by one ``cmp``.
+``center_ids``; for an oracle-check instance, ``r_opt`` and the center ids
+or infeasibility reason of the oracle and each solver), so a change that
+should keep every answer while moving counters is checked by one ``cmp``.
+``--n`` and ``--pool`` size the planted datasets only.
 """
 
 import argparse
@@ -31,6 +36,7 @@ sys.dont_write_bytecode = True  # leave the imported trees as they are
 
 
 RESULT_FIELDS = ("workload", "seed", "dataset", "best_guess", "cost", "center_ids")
+ORACLE_RESULT_FIELDS = ("workload", "seed", "instance", "r_opt", "oracle_ids", "outcomes")
 
 
 def fingerprint(fk, w, seed, index, path):
@@ -63,6 +69,37 @@ def fingerprint(fk, w, seed, index, path):
     }
 
 
+def oracle_fingerprint(fk, seed, index, inst):
+    """The exhaustive optimum of one oracle-check instance and, per solver,
+    its outcome and counters at that radius, as a JSON-ready dict."""
+    oracle = fk.oracle.brute_force_opt(inst.points, inst.spec)
+    outcomes, counters = {}, {}
+    for mode, points in (("general", inst.points), ("semi", inst.ordered)):
+        solver = fk.ladder.make_instance(mode, oracle.r_opt, inst.spec)
+        for p in points:
+            solver.process(p)
+            if solver.overflowed:
+                break
+        outcome = solver.finalize()
+        outcomes[mode] = list(outcome.centers.ids()) if outcome.feasible else outcome.reason.value
+        counters[mode] = {
+            "path": solver.path,
+            "stored_count": solver.stored_count,
+            "distance_evals": solver.stats.distance_evals,
+            "evals_skipped": solver.stats.evals_skipped,
+            "update_excess": solver.stats.update_excess,
+        }
+    return {
+        "workload": "oracle-check",
+        "seed": seed,
+        "instance": index,
+        "r_opt": oracle.r_opt.hex(),
+        "oracle_ids": list(oracle.centers.ids()),
+        "outcomes": outcomes,
+        "counters": counters,
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -91,6 +128,12 @@ def main():
                     if args.results:
                         line = {field: line[field] for field in RESULT_FIELDS}
                     print(json.dumps(line), flush=True)
+    for seed in args.seeds:
+        for index, inst in enumerate(workloads.setup_oracle(fk, workloads.WORKLOADS["oracle-check"], seed)):
+            line = oracle_fingerprint(fk, seed, index, inst)
+            if args.results:
+                line = {field: line[field] for field in ORACLE_RESULT_FIELDS}
+            print(json.dumps(line), flush=True)
 
 
 if __name__ == "__main__":

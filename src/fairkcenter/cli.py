@@ -175,60 +175,57 @@ def _finite_cost(points: Iterable[Point], centers: CenterSet) -> float:
     return cost
 
 
+Streamed = tuple[dict, CenterSet, dict]  # a stream handler's report head, centers and counters
+
+
+def _known(args: argparse.Namespace, spec: FairnessSpec, reader: PointReader) -> Streamed:
+    """known: one solver instance at the fixed ``--radius``, fed until it overflows."""
+    inst = make_instance(args.solver, args.radius, spec)
+    processed = 0
+    for processed, point in enumerate(reader, 1):
+        inst.process(point)
+        if inst.overflowed:
+            break
+    if processed == 0:
+        raise ValueError("empty input: no data rows")
+    outcome = inst.finalize()
+    if not outcome.feasible:
+        raise InfeasibleRun(outcome.reason.value)
+    counters = {
+        "points_processed": processed,
+        "stored_points_peak": inst.stored_count,
+        "distance_evaluations": inst.stats.distance_evals,
+    }
+    return {"mode": f"known-{args.solver}", "r_hat": args.radius}, outcome.centers, counters
+
+
+def _ladder(args: argparse.Namespace, spec: FairnessSpec, reader: PointReader) -> Streamed:
+    """solve and semi: a radius ladder over the whole input."""
+    ladder = Ladder(spec, epsilon=args.epsilon, mode=args.solver)
+    for point in reader:
+        ladder.observe(point)
+    result = ladder.finish()
+    counters = {
+        "points_processed": ladder.points_seen,
+        "stored_points_peak": ladder.total_stored_peak,
+        "distance_evaluations": ladder.total_distance_evals,
+        "instances": dict(spawned=ladder.spawned_count, live=ladder.live_count, pruned=len(ladder.pruned)),
+    }
+    head = {"mode": args.solver, "r_hat": result.best_guess, "epsilon": args.epsilon}
+    return head, result.centers, counters
+
+
 def _run_stream(args: argparse.Namespace) -> dict:
-    """solve, semi and known: one pass over the input into a radius ladder,
-    or into one solver instance at the fixed ``--radius``."""
+    """solve, semi and known: one pass over the input by ``args.stream``, the report and the cost replay."""
     spec = _spec(args)
-    known = args.mode == "known"
-    if known:
-        inst = make_instance(args.solver, args.radius, spec)
-    else:
-        ladder = Ladder(spec, epsilon=args.epsilon, mode=args.solver)
     started = time.perf_counter()
     with _open_input(args) as handle:
         reader = PointReader(
             handle, args.group_col, max_groups=spec.m, require_group_sorted=(args.solver == "semi")
         )
-        if known:
-            processed = 0
-            for processed, point in enumerate(reader, 1):
-                inst.process(point)
-                if inst.overflowed:
-                    break
-        else:
-            for point in reader:
-                ladder.observe(point)
-        labels = list(reader.group_labels)
-    if known:
-        if processed == 0:
-            raise ValueError("empty input: no data rows")
-        outcome = inst.finalize()
-        elapsed = time.perf_counter() - started
-        if not outcome.feasible:
-            raise InfeasibleRun(outcome.reason.value)
-        centers = outcome.centers
-        head = {"mode": f"known-{args.solver}", "r_hat": args.radius}
-        counters = {
-            "points_processed": processed,
-            "stored_points_peak": inst.stored_count,
-            "distance_evaluations": inst.stats.distance_evals,
-        }
-    else:
-        result = ladder.finish()
-        elapsed = time.perf_counter() - started
-        centers = result.centers
-        head = {"mode": args.solver, "r_hat": result.best_guess, "epsilon": args.epsilon}
-        counters = {
-            "points_processed": ladder.points_seen,
-            "stored_points_peak": ladder.total_stored_peak,
-            "distance_evaluations": ladder.total_distance_evals,
-            "instances": {
-                "spawned": ladder.spawned_count,
-                "live": ladder.live_count,
-                "pruned": len(ladder.pruned),
-            },
-        }
-    report = _report(args, spec, labels, head, centers, counters)
+        head, centers, counters = args.stream(args, spec, reader)
+    elapsed = time.perf_counter() - started
+    report = _report(args, spec, reader.group_labels, head, centers, counters)
     # the cost takes a second pass, which standard input cannot give
     if args.input != "-" and not args.no_replay:
         with _open_input(args) as handle:
@@ -380,17 +377,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p = sub.add_parser("solve", help="one-pass radius-ladder run, any stream order")
-    _add_common(p, _run_stream, solver="general")
+    _add_common(p, _run_stream, stream=_ladder, solver="general")
     p.add_argument("--epsilon", type=float, default=0.1, help="grid ratio between adjacent radius guesses")
     p.add_argument("--no-replay", action="store_true", help="skip the second pass that measures the cost")
 
     p = sub.add_parser("semi", help="one-pass radius-ladder run over a group-sorted stream")
-    _add_common(p, _run_stream, solver="semi")
+    _add_common(p, _run_stream, stream=_ladder, solver="semi")
     p.add_argument("--epsilon", type=float, default=0.1, help="grid ratio between adjacent radius guesses")
     p.add_argument("--no-replay", action="store_true", help="skip the second pass that measures the cost")
 
     p = sub.add_parser("known", help="single run at a fixed radius guess")
-    _add_common(p, _run_stream)
+    _add_common(p, _run_stream, stream=_known)
     p.add_argument("--radius", type=float, required=True, help="the fixed radius guess")
     p.add_argument(
         "--semi", dest="solver", action="store_const", const="semi", default="general",

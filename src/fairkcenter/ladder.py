@@ -6,13 +6,13 @@ ladder first buffers the stream until it holds 2(k+1) distinct locations.
 A point that repeats a buffered location of its own group is dropped there:
 whatever covers the first copy on a rung covers it too, so no rung changes
 on it. (In semi mode a group-1 point after a group-2 point never reaches
-the buffer: ``observe`` refuses it first.) Farthest-first
-(Gonzalez 1985) then picks k+1 of the distinct locations; the (k+1)-th pick
-lies some d from the earlier picks, so all k+1 picks are pairwise at least
-d apart, two of them share an optimal cluster, and d/2 is at most the
-optimal radius. The grid starts at that certified lower bound and climbs by
-(1+epsilon) steps until a guess's covering threshold spans the buffer.
-Every grid guess is seeded by replaying the buffer.
+the buffer: ``observe`` refuses it first.) Farthest-first (Gonzalez 1985)
+then picks k+1 of the distinct locations; the (k+1)-th pick lies some d
+from the earlier picks, so all k+1 picks are pairwise at least d apart, two
+of them share an optimal cluster, and d/2 is at most the optimal radius.
+The grid starts at that certified lower bound and climbs by (1+epsilon)
+steps until a guess's covering threshold spans the buffer. Every grid
+guess is seeded by replaying the buffer.
 
 The lowest guess obeys these rules:
 
@@ -31,10 +31,15 @@ The lowest guess obeys these rules:
 
 With the lowest guess at or below the optimum, the smallest grid guess at
 or above the optimum is within (1+epsilon) of it, and the paper's lemma
-makes that rung feasible, so every answer costs at most 5(1+epsilon)
-(general) or 3(1+epsilon) (semi) times the optimum (semi mode with a zero
-group-1 cap excepted: ROADMAP item 3c), besides meeting the caps and
-costing at most 5x (3x) its own guess.
+makes that rung feasible (semi mode with a zero group-1 cap excepted:
+ROADMAP item 3c). Every answer meets the caps; one from a rung that saw the
+whole stream costs at most 5x (semi: 3x) its own guess, so 5(1+epsilon)
+(3(1+epsilon)) times the optimum. On a rung at g' seeded by replay (below),
+a point that a top at g did not store is within 2g (semi: 3g) of one it
+stored, so it costs at most 5g' (3g') plus 2g (3g) summed over the tops
+it came through: under (5 + 2/epsilon)g' ((3 + 3/epsilon)g'). That such an answer
+stays within 5x (3x) its own guess is observed, not proved (criteria 4,
+9 and 10; a longer seeded search's worst was 4.9994x).
 
 A guess is pruned as soon as its rung holds a certificate that it
 undershoots: more than k stored points pairwise more than twice the guess
@@ -48,10 +53,10 @@ whose rung finalizes feasibly.
 Every live rung takes each point through its gates. When the top rung
 stores the point in its own group's set, or overflows, the grid extends
 upward one step at a time, seeding each new instance by replaying what the
-top stored (then the point, if not stored); the grid's step factor covers
-the slack that replay seeding introduces. The trigger reads only the top's
-own set, never the other group's, and differs in two safe ways from a
-point beyond the top's threshold from all it stored:
+top stored (then the point, if not stored), with the slack bounded above.
+The trigger reads only the top's own set, never the other group's, and
+differs in two safe ways from a point beyond the top's threshold from all
+it stored:
 
 * A general top also extends on a point it stores within its threshold of
   the other group, a superset of those points. The extra rungs sit above
@@ -62,11 +67,9 @@ point beyond the top's threshold from all it stored:
   member, so it serves that point within three guesses, its own bound;
   and an extension seeded by what the top stored would lack the point.
 
-NOTES
------
-* Memory stays at O(k) stored points per instance and one grid instance per
-  (1+epsilon) step between the lowest and highest guess; the buffer holds
-  at most two points (one per group) at each of its 2(k+1) locations.
+Memory stays at O(k) stored points per instance and one grid instance per
+(1+epsilon) step between the lowest and highest guess; the buffer holds at
+most two points (one per group) at each of its 2(k+1) locations.
 """
 
 from __future__ import annotations
@@ -121,15 +124,13 @@ class Ladder:
         epsilon: float = 0.1,
         mode: str = "general",
     ) -> None:
-        if spec.m != 2:
-            raise ValueError("the ladder handles exactly two groups")
+        make_instance(mode, 0.0, spec, metric)  # refuses a bad mode or group count now, not at the first rung
         if not 0.0 < epsilon < math.inf:
             raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         if 1.0 + epsilon == 1.0:
             # a (1+epsilon) step would round back to the guess, and the grid
             # would climb one float ulp at a time
             raise ValueError(f"epsilon {epsilon} is too small: 1 + epsilon rounds to 1")
-        make_instance(mode, 0.0, spec, metric)  # rejects an unknown mode now, not at the first rung
         self.spec = spec
         self.metric = metric
         self.epsilon = float(epsilon)

@@ -99,22 +99,16 @@ class SemiInstance(SolverInstance):
                 self._store(point)
 
     def _select(self) -> SolveOutcome:
-        """Assemble the centers; swaps surplus group-1 representatives for
-        their stand-ins when group 1 exceeded its cap."""
-        k1 = self.spec.caps[0]
-        if len(self.reps1) <= k1:
-            self.path = "union"
-            centers = CenterSet(tuple(self.reps1.members) + tuple(self.reps2.members))
-        else:
-            self.path = "swap"
-            surplus = len(self.reps1) - k1
-            if len(self.replacement_of) < surplus:
-                return SolveOutcome.infeasible(InfeasibleReason.FAIRNESS_VIOLATED)
-            # swap out the representatives whose stand-ins were recorded first
-            swap_ids = set(list(self.replacement_of)[:surplus])
-            kept = [p for p in self.reps1.members if p.id not in swap_ids]
-            stand_ins = [self.replacement_of[pid] for pid in self.replacement_of if pid in swap_ids]
-            centers = CenterSet(tuple(self.reps2.members) + tuple(kept) + tuple(stand_ins))
+        """Swap group 1's surplus for stand-ins: it is over its cap (``reps2`` over its own overflowed)."""
+        self.path = "swap"
+        surplus = len(self.reps1) - self.spec.caps[0]
+        if len(self.replacement_of) < surplus:
+            return SolveOutcome.infeasible(InfeasibleReason.FAIRNESS_VIOLATED)
+        # swap out the representatives whose stand-ins were recorded first
+        swap_ids = set(list(self.replacement_of)[:surplus])
+        kept = [p for p in self.reps1.members if p.id not in swap_ids]
+        stand_ins = list(self.replacement_of.values())[:surplus]
+        centers = CenterSet(tuple(self.reps2.members) + tuple(kept) + tuple(stand_ins))
         if check_fairness(centers, self.spec):
             return SolveOutcome.infeasible(InfeasibleReason.FAIRNESS_VIOLATED)
         return SolveOutcome.ok(centers)

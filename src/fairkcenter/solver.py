@@ -52,14 +52,13 @@ class SolveOutcome:
 
 
 class SolverInstance:
-    """Lifecycle bookkeeping both one-pass solvers share: the radius guess
-    and its separation threshold, one representative set per group, and the
-    points stored so far, counted into ``stats``. ``cap2`` bounds the group-2
-    set (k by default, as for group 1). ``process`` and ``finalize`` are
-    shared too: each holds the guards and bookkeeping of both solvers and
-    calls the solver's own hook, ``_update`` or ``_select``. Each subclass
-    names both in its own class body, where the benchmark's tracer looks for
-    them (it wraps ``vars(cls)`` entries class by class).
+    """Lifecycle bookkeeping both one-pass solvers share: the radius guess,
+    its separation threshold, one representative set per group (``cap2``
+    bounds group 2's, k by default as for group 1) and the points stored,
+    counted into ``stats``. The one ``process`` holds the guards and budget
+    around the solver's ``_update``; the one ``finalize`` holds the overflow
+    and union outcomes around its over-cap rule, ``_select``. Each subclass
+    names both in its class body for the benchmark's tracer, which wraps ``vars(cls)``.
 
     ``gates`` maps a group to the scans that decide whether a point of that
     group can change the rung: (stored coordinates, stop radius) pairs the
@@ -132,14 +131,18 @@ class SolverInstance:
             stats.update_excess = excess
 
     def finalize(self) -> SolveOutcome:
-        """Select centers from the stored points by ``_select``, or report the
-        overflow, with ``path`` "overflow". One-shot."""
+        """The overflow (``path`` "overflow"), the union when both sets fit
+        their caps (``path`` "union"), else ``_select``'s over-cap rule. One-shot."""
         if self.finalized:
             raise RuntimeError("finalize is one-shot")
         self.finalized = True
         if self.overflowed:
             self.path = "overflow"
             return SolveOutcome.infeasible(InfeasibleReason.STREAM_OVERFLOW)
+        k1, k2 = self.spec.caps
+        if len(self.reps1) <= k1 and len(self.reps2) <= k2:
+            self.path = "union"
+            return SolveOutcome.ok(CenterSet(tuple(self.reps1.members) + tuple(self.reps2.members)))
         return self._select()
 
     def _offer_own(self, point: Point, clear: bool) -> None:
@@ -194,20 +197,15 @@ class StreamInstance(SolverInstance):
             self.overflowed = True
 
     def _select(self) -> SolveOutcome:
-        """Select centers from the stored representatives by the caps' path."""
-        g1, g2 = self.reps[1], self.reps[2]
+        """Select centers when one group or both ended over their caps."""
+        g1, g2 = self.reps1, self.reps2
         k1, k2 = self.spec.caps
-        over1, over2 = len(g1) > k1, len(g2) > k2
-        if not over1 and not over2:
-            self.path = "union"
-            return SolveOutcome.ok(CenterSet(tuple(g1.members) + tuple(g2.members)))
-        if over1 != over2:
+        if len(g1) <= k1 or len(g2) <= k2:
             self.path = "one-over"
-            over, under = (g1, g2) if over1 else (g2, g1)
+            over, under = (g2, g1) if len(g1) <= k1 else (g1, g2)
             return select_with_one_group_over(over, under, self.radius_guess, self.spec, self.metric)
         self.path = "both-over"
-        graph = build_cross_graph(g1, g2, self.radius_guess, self.metric)
-        self.last_graph = graph
+        graph = self.last_graph = build_cross_graph(g1, g2, self.radius_guess, self.metric)
         return select_with_both_groups_over(graph, self.spec, self.radius_guess, self.metric)
 
 

@@ -2,6 +2,7 @@
 pass/fail line (run with -s to see them alongside the pytest verdicts)."""
 
 import itertools
+import random
 import time
 
 import numpy as np
@@ -360,6 +361,98 @@ def test_criterion_9_ladder_bounds_against_the_oracle(oracle_sweep_draws, mode, 
         failures,
         f"{len(oracle_sweep_draws)} draws, worst guess ratio {worst:.3f}",
     )
+
+
+# ----------------------------------------------------------------------
+# criterion 10: a seeded hill-climb toward the worst ratio
+# ----------------------------------------------------------------------
+# Each restart draws 4-9 points in [0, 10]^2 with random groups and caps in
+# {1, 2}^2 (zero caps wait on ROADMAP item 3c). A step moves one point by a
+# Gaussian of scale 0.05, 0.3 or 1.5, flips one point's group, or swaps two
+# points in the stream, and is kept when the objective does not fall. The
+# objectives are cost / r_opt at the fixed guess r_opt, cost / r_opt through
+# the ladder at eps 0.1, and the ladder's cost / its own best guess. Every
+# evaluated instance is checked against all three bounds. A step to a zero
+# optimum is refused: the ladder's grid starts above zero (ROADMAP item 8).
+RATIO_SEARCH_SEEDS = (1, 2, 3)
+RATIO_SEARCH_RESTARTS = 3
+RATIO_SEARCH_STEPS = 110
+
+
+def _search_ratios(mode, rows, caps, failures):
+    """The three ratios of one instance, None at a zero optimum; a broken
+    check is appended to ``failures``."""
+    spec = FairnessSpec(caps)
+    points = [pt(i, coords, group) for i, (coords, group) in enumerate(rows)]
+    r_opt = brute_force_opt(points, spec).r_opt
+    if r_opt == 0.0:
+        return None
+    ordered = sorted(points, key=lambda p: p.group) if mode == "semi" else points
+    factor = 5.0 if mode == "general" else 3.0
+    fixed = run_known(r_opt, ordered, spec, mode=mode)
+    if not fixed.feasible:
+        failures.append((caps, rows, "infeasible at the oracle radius"))
+        return None
+    ladder = Ladder(spec, epsilon=LADDER_EPSILON, mode=mode)
+    for p in ordered:
+        ladder.observe(p)
+    result = ladder.finish()
+    ladder_cost = clustering_cost(points, result.centers)
+    ratios = {
+        "fixed": clustering_cost(points, fixed.centers) / r_opt,
+        "ladder": ladder_cost / r_opt,
+        "own": ladder_cost / result.best_guess,
+    }
+    bounds = {"fixed": factor, "ladder": factor * (1.0 + LADDER_EPSILON), "own": factor}
+    if check_fairness(fixed.centers, spec) or check_fairness(result.centers, spec):
+        failures.append((caps, rows, "caps violated"))
+    failures.extend((caps, rows, f"{name} ratio {ratios[name]} > {bounds[name]}")
+                    for name in ratios if ratios[name] > bounds[name] + 1e-9)
+    return ratios
+
+
+def _search_step(rng, rows):
+    rows = list(rows)
+    i = rng.randrange(len(rows))
+    move = rng.randrange(3)
+    if move == 0:
+        scale = rng.choice((0.05, 0.3, 1.5))
+        coords, group = rows[i]
+        rows[i] = (tuple(c + rng.gauss(0.0, scale) for c in coords), group)
+    elif move == 1:
+        coords, group = rows[i]
+        rows[i] = (coords, 3 - group)
+    else:
+        j = rng.randrange(len(rows))
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+@pytest.mark.parametrize("objective", ["fixed", "ladder", "own"])
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_criterion_10_seeded_ratio_search(mode, objective):
+    failures = []
+    worst = 0.0
+    evaluated = 0
+    for seed in RATIO_SEARCH_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(RATIO_SEARCH_RESTARTS):
+            ratios = None
+            while ratios is None:
+                caps = (rng.randint(1, 2), rng.randint(1, 2))
+                rows = [((rng.uniform(0, 10), rng.uniform(0, 10)), rng.randint(1, 2))
+                        for _ in range(rng.randint(4, 9))]
+                ratios = _search_ratios(mode, rows, caps, failures)
+                evaluated += 1
+            for _ in range(RATIO_SEARCH_STEPS):
+                candidate = _search_step(rng, rows)
+                found = _search_ratios(mode, candidate, caps, failures)
+                evaluated += 1
+                if found is not None and found[objective] >= ratios[objective]:
+                    rows, ratios = candidate, found
+            worst = max(worst, ratios[objective])
+    conclude(10, f"seeded {mode} ratio search, objective {objective}", failures,
+             f"{evaluated} instances, worst {objective} ratio {worst:.4f}")
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -267,15 +268,18 @@ def test_reports_are_byte_identical_modulo_wall_time(tmp_path):
 
 def test_header_only_csv_is_a_structured_error(tmp_path, capsys):
     path = write(tmp_path, "empty.csv", "x,group\n")
-    rc = main(["solve", "--input", path, "--caps", "1,1"])
-    assert rc == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "fairkcenter-error/1"
-    assert "empty" in payload["error"]["message"]
-    rc = main(["known", "--input", path, "--caps", "1,1", "--radius", "1.0"])
-    assert rc == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert "empty" in payload["error"]["message"]
+    for argv, message in [
+        (["solve"], "empty stream"),
+        (["semi"], "empty stream"),
+        (["known", "--radius", "1.0"], "empty input: no data rows"),
+        (["bench"], "empty input file"),
+        (["oracle"], "empty dataset"),
+    ]:
+        rc = main([argv[0], "--input", path, "--caps", "1,1", *argv[1:]])
+        assert rc == 1, argv
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "fairkcenter-error/1"
+        assert payload["error"] == {"kind": "ValueError", "message": message}, argv
 
 
 def test_stdin_input_skips_the_cost_replay(capsys, monkeypatch):
@@ -391,15 +395,34 @@ def test_an_oracle_whose_every_cost_overflows_says_so(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["solve", "bench"])
 def test_an_overflowing_cost_is_reported_as_an_overflow(tmp_path, capsys, mode):
-    # with group 2 capped at zero the ladder keeps the point at 1e308, whose
-    # distance to -1e308 overflows, so the replayed cost is inf
+    # with group 2 capped at zero only a rung at a huge guess could keep the
+    # point at 1e308 alone, and three times that guess overflows: the run
+    # stops at that rung's guard, before any cost is replayed
     path = write(tmp_path, "huge.csv", "x,group\n1e308,1\n-1e308,2\n0,1\n5,2\n")
     rc = main([mode, "--input", path, "--caps", "1,0"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["schema"] == "fairkcenter-error/1"
-    assert payload["error"]["kind"] == "OverflowError"
-    assert "overflowed the float range" in payload["error"]["message"]
+    assert payload["error"] == {
+        "kind": "OverflowError",
+        "message": "three times the radius guess 8.988465674311579e+307 overflowed the float range",
+    }
+
+
+@pytest.mark.parametrize("argv", [["known", "--radius", "0.5"], ["bench"]], ids=["known", "bench"])
+def test_a_replayed_cost_that_overflows_is_reported_as_an_overflow(tmp_path, capsys, monkeypatch, argv):
+    # the rung guard above stops every input known to overflow before its
+    # cost is replayed, so the cost function is patched to give inf
+    path = write(tmp_path, "both_over.csv", BOTH_OVER_CSV)
+    monkeypatch.setattr("fairkcenter.cli.clustering_cost", lambda points, centers: math.inf)
+    rc = main([argv[0], "--input", path, "--caps", "1,1", *argv[1:]])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"] == {
+        "kind": "OverflowError",
+        "message": "the clustering cost overflowed the float range (inf)",
+    }
 
 
 def test_duplicates_do_not_lift_the_lowest_guess_above_the_optimum(tmp_path, capsys):

@@ -43,8 +43,16 @@ def test_ladder_fingerprint_repeats_exactly():
     runs = [subprocess.run(argv, capture_output=True, text=True, timeout=300) for _ in range(2)]
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
-    lines = runs[0].stdout.splitlines()
-    assert [json.loads(line)["workload"] for line in lines] == ["planted-general"] * 2 + ["planted-semi"] * 2
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    # the planted sizes do not reach the oracle-check pool: 468 instances per seed
+    expected = ["planted-general"] * 2 + ["planted-semi"] * 2 + ["oracle-check"] * 468
+    assert [line["workload"] for line in lines] == expected
+    for line in lines[4:]:
+        for mode in ("general", "semi"):
+            counters = line["counters"][mode]
+            assert counters["path"] in ("union", "one-over", "both-over", "swap", "overflow")
+            assert counters["update_excess"] <= 0
+            assert 0 <= counters["evals_skipped"] <= counters["distance_evals"]
     assert runs[1].stdout == runs[0].stdout
 
 
@@ -56,8 +64,15 @@ def test_ladder_fingerprint_results_keep_only_the_result_fields():
     )
     for proc in (full, results):
         assert proc.returncode == 0, proc.stderr
-    fields = ["workload", "seed", "dataset", "best_guess", "cost", "center_ids"]
-    expected = [{field: json.loads(line)[field] for field in fields} for line in full.stdout.splitlines()]
+    fields = {
+        "planted": ["workload", "seed", "dataset", "best_guess", "cost", "center_ids"],
+        "oracle": ["workload", "seed", "instance", "r_opt", "oracle_ids", "outcomes"],
+    }
+    expected = [
+        {field: line[field] for field in fields["oracle" if line["workload"] == "oracle-check" else "planted"]}
+        for line in map(json.loads, full.stdout.splitlines())
+    ]
+    assert [line["workload"] for line in expected].count("oracle-check") == 468
     assert [json.loads(line) for line in results.stdout.splitlines()] == expected
     assert results.stdout == "".join(json.dumps(line) + "\n" for line in expected)
 

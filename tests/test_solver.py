@@ -258,26 +258,18 @@ def test_update_time_monitor_catches_a_second_scan():
     assert inst.stats.update_excess == len(inst.reps1) == 2
 
 
-def test_finalize_is_one_shot():
-    inst = StreamInstance(1.0, SPEC_11)
-    inst.process(pt(0, 0.0, 1))
-    inst.finalize()
-    with pytest.raises(RuntimeError):
-        inst.finalize()
-    with pytest.raises(RuntimeError):
-        inst.process(pt(1, 2.0, 1))
-
-
 @pytest.mark.parametrize("solver", [StreamInstance, SemiInstance], ids=["general", "semi"])
 def test_both_solvers_share_the_lifecycle_guards(solver):
     # one process and one finalize serve both solvers: the same guards and
-    # the same overflow outcome
+    # the same overflow and union outcomes
     inst = solver(1.0, SPEC_11)  # threshold 2, each set capped at k = 2
     inst.process(pt(0, 0.0, 1))
     with pytest.raises(TypeError):
         inst.process(pt(1, 10.0, 1), inst.gates[1])  # clear is keyword-only
     assert inst.stored_count == 1
-    assert inst.finalize().feasible and inst.path == "union"
+    inst.process(pt(2, 5.0, 2))  # both sets now hold one point, within their caps
+    out = inst.finalize()
+    assert out.centers.ids() == (0, 2) and inst.path == "union"  # reps1, then reps2
     with pytest.raises(RuntimeError, match="one-shot"):
         inst.finalize()
     with pytest.raises(RuntimeError, match="already finalized"):
