@@ -287,6 +287,16 @@ def test_both_solvers_share_the_lifecycle_guards(solver):
         over.finalize()
 
 
+def test_finalize_is_one_shot():
+    inst = StreamInstance(1.0, SPEC_11)
+    inst.process(pt(0, 0.0, 1))
+    inst.finalize()
+    with pytest.raises(RuntimeError):
+        inst.finalize()
+    with pytest.raises(RuntimeError):
+        inst.process(pt(1, 2.0, 1))
+
+
 def test_injected_metric_threads_through_the_whole_solve():
     from fairkcenter import DistanceMetric
 
