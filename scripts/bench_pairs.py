@@ -13,9 +13,12 @@ copied into the collection, which is rewritten after every pair, so an
 interrupted session keeps the pairs it finished. A collection that already
 exists for the same parent is extended, so several workloads and seeds go
 into one file. ``medians`` holds, per (workload, seed, trace), each side's
-median and quartiles of every end-to-end metric and the number of pairs in
+median and quartiles of every end-to-end metric, the number of pairs in
 which the change read better (by ``better`` in the change tree's
-``BENCHMARK.json``; ties count for neither side).
+``BENCHMARK.json``; ties count for neither side), each end-to-end metric's
+relative change of medians, and ``past_bound``: the metrics whose change
+is worse than their ``bound`` there. The names in ``past_bound`` are
+printed after the last pair.
 """
 
 from __future__ import annotations
@@ -59,9 +62,17 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def medians(pairs: list[dict], better: dict[str, str]) -> list[dict]:
+def relative_change(parent: float, change: float) -> float | None:
+    """(change - parent) / |parent|; None when the parent reads 0 and the change does not."""
+    if parent == change:
+        return 0.0
+    return (change - parent) / abs(parent) if parent else None
+
+
+def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
     """Per (workload, seed, trace): each side's median and quartiles of every
-    metric, and how many pairs the change won on each metric."""
+    metric, how many pairs the change won on each end-to-end metric, the
+    relative change of its medians and the metrics past their bound."""
     groups: dict[tuple, list[dict]] = {}
     for pair in pairs:
         groups.setdefault((pair["workload"], pair["seed"], pair["trace"]), []).append(pair)
@@ -73,14 +84,20 @@ def medians(pairs: list[dict], better: dict[str, str]) -> list[dict]:
             values = {n: [p[side]["metrics"][n]["value"] for p in group] for n in names}
             entry[side] = {n: statistics.median(v) for n, v in values.items()}
             entry[f"{side}_quartiles"] = {n: quartiles(v) for n, v in values.items()}
-        wins = {}
+        wins, rel, past = {}, {}, []
         for n in names:
-            if n in better:
-                sign = -1.0 if better[n] == "lower" else 1.0
+            if n in end_to_end:
+                sign = -1.0 if end_to_end[n]["better"] == "lower" else 1.0
                 wins[n] = sum(
                     sign * (p["change"]["metrics"][n]["value"] - p["parent"]["metrics"][n]["value"]) > 0 for p in group
                 )
+                rel[n] = relative_change(entry["parent"][n], entry["change"][n])
+                worse = sign * (entry["change"][n] - entry["parent"][n]) < 0
+                if worse and (rel[n] is None or abs(rel[n]) > end_to_end[n]["bound"]):
+                    past.append(n)  # worse in the median by more than the bound, or from a parent at 0
         entry["change_better_pairs"] = wins
+        entry["relative_change"] = rel
+        entry["past_bound"] = past
         summary.append(entry)
     return summary
 
@@ -100,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     out = collection = None
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -119,10 +136,12 @@ def main(argv: list[str] | None = None) -> int:
             {"workload": args.workload, "seed": args.seed, "trace": args.trace, "pair": done + 1,
              "first": order[0], **records}
         )
-        collection["medians"] = medians(collection["pairs"], better)
+        collection["medians"] = medians(collection["pairs"], end_to_end)
         out.write_text(json.dumps(collection, indent=1) + "\n")
         solve = {side: records[side]["metrics"]["solve_s"]["value"] for side in SIDES}
         print(f"pair {done + 1}: solve_s parent {solve['parent']:.4f} change {solve['change']:.4f}", flush=True)
+    [entry] = [e for e in collection["medians"] if (e["workload"], e["seed"], e["trace"]) == key]
+    print(f"past bound over {entry['pairs']} pairs: {', '.join(entry['past_bound']) or 'none'}")
     print(f"wrote {out}")
     return 0
 

@@ -93,6 +93,18 @@ class DistanceMetric:
             return best, -1  # only inf distances: no nearest point, as above
         return best, best_idx
 
+    def first_within(self, coords: Coords, stored: Sequence[Coords], radius: float) -> int:
+        """Index of the newest of ``stored`` with ``fn(coords, q) <= radius``,
+        or -1: where ``nearest`` with that stop radius stops (a NaN stops
+        neither), for the ladder's gates and certificate. It checks no
+        dimension: ``Ladder.observe`` refuses a point of another dimension
+        before any rung sees it, and those scans read only observed points."""
+        fn = self.fn
+        for idx in range(len(stored) - 1, -1, -1):
+            if fn(coords, stored[idx]) <= radius:
+                return idx
+        return -1
+
 
 EUCLIDEAN = DistanceMetric.euclidean()
 

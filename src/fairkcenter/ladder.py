@@ -244,8 +244,8 @@ class Ladder:
         """Feed the point to each rung of ``rungs``, retiring a rung that
         overflows.
 
-        A rung scans the point's ``gates`` in order with the kernel, each
-        stopping at the first stored point within its radius. The first scan
+        A rung scans the point's ``gates`` in order with ``first_within``,
+        which asks only "is a stored point within the radius?". The first scan
         that stops proves the point changes nothing on that rung, and the
         scans after it are never made: a semi rung within its group-1 cap
         reads ``reps2`` before ``reps1``, so a group-2 point its newest
@@ -257,15 +257,15 @@ class Ladder:
         after every rung: the excess ``process`` records does not depend on
         when they are added. A general rung also overflows in ``process``
         once its separation certificate holds k+1 points."""
-        group = point.group
-        nearest = self.metric.nearest
+        group, pc = point.group, point.coords
+        first_within = self.metric.first_within
         logical = skipped = 0
         for inst in rungs:
             gates = inst.gates.get(group, ())
             for coords, within in gates:
                 logical += len(coords)
-                d, idx = nearest(point, coords, within)
-                if d <= within:
+                idx = first_within(pc, coords, within)
+                if idx >= 0:
                     skipped += idx  # the scan stopped at idx
                     break
             else:

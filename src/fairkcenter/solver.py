@@ -188,8 +188,8 @@ class StreamInstance(SolverInstance):
         cert = self.certificate
         other = cert[3 - point.group]
         self.stats.distance_evals += len(other)
-        d, idx = self.metric.nearest(point, other, self.threshold)
-        if d <= self.threshold:
+        idx = self.metric.first_within(point.coords, other, self.threshold)
+        if idx >= 0:
             self.stats.evals_skipped += idx  # the scan stopped at idx
             return
         cert[point.group].append(point.coords)

@@ -150,6 +150,56 @@ def test_a_scan_that_stops_at_index_i_makes_n_minus_i_evaluations():
     assert len(calls) == len(stored)
 
 
+def test_first_within_stops_where_nearest_stops():
+    def nan_pair(a, b):
+        return math.nan if (a[0], b[0]) == (3.0, 4.0) else sum(abs(x - y) for x, y in zip(a, b))
+
+    metrics = grid_metrics() + [
+        DistanceMetric.from_callable(lambda a, b: math.inf, "inf"),
+        DistanceMetric.from_callable(nan_pair, "nan-pair"),
+    ]
+    rng = np.random.default_rng(33)
+    stopped = missed = at_a_distance = 0
+    for case in range(2000):
+        metric = metrics[case % len(metrics)]
+        dim = int(rng.integers(1, 3))
+        n = int(rng.integers(0, 12))
+        # a 0..7 grid, with one more copy of a stored point in every other list
+        stored = [tuple(map(float, rng.integers(0, 8, size=dim))) for _ in range(n)]
+        if stored and case % 2:
+            stored.insert(int(rng.integers(0, n + 1)), stored[int(rng.integers(0, n))])
+        p = pt(0, tuple(map(float, rng.integers(0, 8, size=dim))))
+        dists = [metric.fn(p.coords, q) for q in stored]
+        radii = [-1.0, 0.0, 1.0, math.inf]
+        if dists:
+            hit = dists[int(rng.integers(0, len(dists)))]  # a stored distance exactly, or just below it
+            radii += [hit, math.nextafter(hit, -math.inf)]
+        radius = radii[int(rng.integers(0, len(radii)))]
+        at_a_distance += radius in dists
+        d, idx = metric.nearest(p, stored, radius)
+        stop = idx if d <= radius else -1  # an empty list returns (inf, -1), which no radius stops at
+        close = [i for i, x in enumerate(dists) if x <= radius]
+        assert metric.first_within(p.coords, stored, radius) == stop == (close[-1] if close else -1), case
+        stopped += stop >= 0
+        missed += stop < 0
+    assert stopped > 500 and missed > 500 and at_a_distance > 300
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, 2.5, math.inf])
+def test_first_within_of_an_empty_list_is_minus_one(radius):
+    def never(a, b):
+        raise AssertionError("an empty scan evaluated a distance")
+
+    assert DistanceMetric.from_callable(never).first_within((1.0, 2.0), [], radius) == -1
+
+
+def test_first_within_passes_over_nan_and_stops_at_inf_only_under_an_inf_radius():
+    metric = poisoned_metric()  # stored 5 is at NaN, 6 at inf
+    assert metric.first_within((0.0,), [(2.0,), (6.0,), (5.0,)], 3.0) == 0
+    assert metric.first_within((0.0,), [(6.0,), (5.0,)], 1e308) == -1
+    assert metric.first_within((0.0,), [(6.0,), (5.0,)], math.inf) == 0
+
+
 def test_cost_replay_equals_the_forward_maximum():
     rng = np.random.default_rng(32)
     for case in range(300):

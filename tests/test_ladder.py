@@ -19,7 +19,6 @@ from fairkcenter import (
     generate_planted,
     run_known,
 )
-from fairkcenter.core import NO_STOP
 from fairkcenter.independent import IndependentSet
 from fairkcenter.ladder import make_instance
 
@@ -629,24 +628,25 @@ def _dispatch_streams(mode):
 
 def _check_event_dispatch_against_the_reference(monkeypatch, mode):
     offer = IndependentSet.offer
-    nearest = DistanceMetric.nearest
+    first_within = DistanceMetric.first_within
     ties = []
     gate_stops = []
 
     def counting_offer(self, p, *, clear=False):
         if not clear:  # the scanned path: a tie is a member exactly one threshold away
-            d, idx = nearest(self.metric, p, self.coords)
+            d, idx = self.metric.nearest(p, self.coords)
             if idx >= 0 and d == self.threshold:
                 ties.append(d)
         return offer(self, p, clear=clear)
 
-    def recording_nearest(self, p, stored, within=NO_STOP):
-        d, idx = nearest(self, p, stored, within)
-        if d == within:
-            ties.append(d)  # a gate, or the certificate, meets a point at exactly its radius
-        if d <= within and p.group == 2:
-            gate_stops.append((id(stored), within, d))
-        return d, idx
+    def recording_first_within(self, coords, stored, radius):
+        idx = first_within(self, coords, stored, radius)
+        if idx >= 0:  # a gate, or the certificate, stops at a point within its radius
+            d = self.fn(coords, stored[idx])
+            if d == radius:
+                ties.append(d)
+            gate_stops.append((id(stored), radius, d))
+        return idx
 
     extended = pruned_mid_stream = 0
     reached = collections.Counter()  # the semi group-2 gate outcomes, below the top rung
@@ -655,7 +655,7 @@ def _check_event_dispatch_against_the_reference(monkeypatch, mode):
         reference = ReferenceLadder(spec, epsilon=epsilon, mode=mode)
         with monkeypatch.context() as patch:
             patch.setattr(IndependentSet, "offer", counting_offer)
-            patch.setattr(DistanceMetric, "nearest", recording_nearest)
+            patch.setattr(DistanceMetric, "first_within", recording_first_within)
             for p in points:
                 before = (ladder.bootstrapping, ladder.spawned_count, len(ladder.pruned))
                 lower = list(ladder.instances.values())[:-1]
@@ -782,21 +782,65 @@ def test_semi_event_dispatch_refuses_a_bad_point_like_the_reference(setup, bad, 
     _check_refusal_against_the_reference("semi", setup, bad, message)
 
 
-@pytest.mark.parametrize("mode", ["general", "semi"])
-def test_a_point_of_another_dimension_is_refused_before_any_rung_changes(mode):
+def zip_euclidean(a, b):
+    """Euclidean over ``zip(a, b)``: a longer tuple is cut short, never refused."""
+    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+
+
+GROUP1_BOOTSTRAP = [(x, 1) for x in (0.0, 10.0, 20.0, 35.0, 45.0, 60.0)]
+DIMENSION_SETUPS = {
     # group 1 alone bootstraps the ladder, so every rung's group-2 set is
     # empty and no scan of it meets a stored point to compare dimensions with
+    "general": [GROUP1_BOOTSTRAP, GROUP1_BOOTSTRAP + [(70.0, 2), (5.0, 2), (28.0, 1), (52.0, 2)]],
+    # in group 2, rungs over the group-1 cap (a stand-in recorded) below one with both gates
+    "semi": [GROUP1_BOOTSTRAP, [(x, 1) for x in range(6)] + [(2.5, 2), (30.0, 2), (31.0, 2), (4.5, 2)]],
+}
+
+
+def _rung_state(ladder):
+    """Everything a point can change on the ladder and its live rungs."""
+    return (
+        ladder.points_seen,
+        dataclasses.astuple(ladder.stats),
+        list(ladder.guesses),
+        list(ladder.pruned),
+        [
+            (
+                list(inst.reps1.coords),
+                list(inst.reps2.coords),
+                [p.id for p in inst.stored_order],
+                {g: list(c) for g, c in (getattr(inst, "certificate", None) or {}).items()},
+                [p.id for p in getattr(inst, "replacements", ())],
+            )
+            for inst in ladder.instances.values()
+        ],
+    )
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_a_point_of_another_dimension_is_refused_before_any_rung_changes(mode):
+    # the gates and the certificate scan without a dimension check, so the
+    # refusal in observe must come first: before the grid holds group 2, after
+    # it does (general) or during group 2 (semi), and under a zip-based metric
+    # that would otherwise cut the longer tuple short without a word
     spec = FairnessSpec((1, 1))
-    setup = [pt(i, (x, 0.0), 1) for i, x in enumerate([0.0, 10.0, 20.0, 35.0, 45.0, 60.0])]
-    ladder, untouched = Ladder(spec, mode=mode), Ladder(spec, mode=mode)
-    for p in setup:
-        ladder.observe(p)
-        untouched.observe(p)
-    assert len(ladder.instances) > 1
-    message = r"^dimension mismatch: point 6 has 3 coords, the stream's first point has 2$"
-    with pytest.raises(ValueError, match=message):
-        ladder.observe(pt(6, (1.0, 2.0, 3.0), 2))
-    assert _ladder_state(ladder, ladder.finish()) == _ladder_state(untouched, untouched.finish())
+    for rows in DIMENSION_SETUPS[mode]:
+        for metric in (DistanceMetric.euclidean(), DistanceMetric.from_callable(zip_euclidean, "zip")):
+            ladder, untouched = Ladder(spec, metric, mode=mode), Ladder(spec, metric, mode=mode)
+            for i, (x, group) in enumerate(rows):
+                ladder.observe(pt(i, (x, 0.0), group))
+                untouched.observe(pt(i, (x, 0.0), group))
+            assert len(ladder.instances) > 1
+            if rows is not GROUP1_BOOTSTRAP:
+                assert all(inst.reps2 for inst in ladder.instances.values())
+            before = _rung_state(ladder)
+            n = len(rows)
+            message = rf"^dimension mismatch: point {n} has 3 coords, the stream's first point has 2$"
+            for group in (1, 2) if mode == "general" else (2,):
+                with pytest.raises(ValueError, match=message):
+                    ladder.observe(pt(n, (1.0, 2.0, 3.0), group))
+                assert _rung_state(ladder) == before, (rows, metric.kind, group)
+            assert _ladder_state(ladder, ladder.finish()) == _ladder_state(untouched, untouched.finish())
 
 
 @pytest.mark.parametrize("mode", ["general", "semi"])

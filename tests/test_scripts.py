@@ -187,6 +187,28 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
     assert summary["pairs"] == 1
     assert summary["change"]["solve_s"] == pair["change"]["metrics"]["solve_s"]["value"]
     assert set(summary["change_better_pairs"]) <= set(pair["parent"]["metrics"])
+    # the bounds, read from BENCHMARK.json, and the metrics past them, printed last
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
+    assert set(summary["relative_change"]) == set(summary["change_better_pairs"]) == set(end_to_end)
+    assert set(summary["past_bound"]) <= set(end_to_end)
+    assert f"past bound over 1 pairs: {', '.join(summary['past_bound']) or 'none'}\n" in proc.stdout
+    module = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(module)
+    module.loader.exec_module(bench_pairs)
+    sides = [  # parent, change: lower-better rss 12% up, solve 15% down, p99 up from 0; higher-better points 30% down
+        {"peak_rss_mb": 50.0, "solve_s": 0.2, "update_us_p99": 0.0, "points_per_s": 1000.0, "cost_ratio": 1.5},
+        {"peak_rss_mb": 56.0, "solve_s": 0.17, "update_us_p99": 1.0, "points_per_s": 700.0, "cost_ratio": 1.5},
+    ]
+    pair = {"workload": "w", "seed": 1, "trace": 0}
+    for side, values in zip(("parent", "change"), sides):
+        pair[side] = {"metrics": {n: {"value": v} for n, v in values.items()}}
+    [summary] = bench_pairs.medians([pair], end_to_end)
+    assert summary["relative_change"] == pytest.approx(
+        {"peak_rss_mb": 0.12, "solve_s": -0.15, "update_us_p99": None, "points_per_s": -0.3, "cost_ratio": 0.0}
+    )
+    assert summary["past_bound"] == ["peak_rss_mb", "update_us_p99", "points_per_s"]
+    assert summary["change_better_pairs"] == {n: n == "solve_s" for n in sides[0]}
 
 
 def test_readme_states_the_src_line_count_and_the_export_count():
