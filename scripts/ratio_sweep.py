@@ -23,13 +23,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from fairkcenter import FairnessSpec, Ladder, check_fairness, clustering_cost, generate_planted
 
 
-def sweep(sizes, runs_per_size, k, epsilon, dim, base_seed):
-    rows = []
+def sweep(sizes, runs_per_size, k, epsilon, dim, cap1_of, seed_of):
+    """Yield one row per planted run and mode: the group-1 cap of run
+    ``run_idx`` is ``cap1_of(run_idx)`` (group 2 gets the rest of ``k``), and
+    the dataset of size ``n`` is drawn with seed ``seed_of(n, run_idx)``."""
     for n in sizes:
         for run_idx in range(runs_per_size):
-            cap1 = max(1, min(k - 1, (k * (run_idx + 1)) // (runs_per_size + 1)))
+            cap1 = cap1_of(run_idx)
             spec = FairnessSpec((cap1, k - cap1))
-            planted = generate_planted(spec, n, 1.0, dim=dim, seed=base_seed + 1000 * n + run_idx)
+            planted = generate_planted(spec, n, 1.0, dim=dim, seed=seed_of(n, run_idx))
             for mode in ("general", "semi"):
                 points = list(planted.points)
                 if mode == "semi":
@@ -41,25 +43,22 @@ def sweep(sizes, runs_per_size, k, epsilon, dim, base_seed):
                 result = ladder.finish()
                 elapsed = time.perf_counter() - started
                 cost = clustering_cost(planted.points, result.centers)
-                rows.append(
-                    {
-                        "mode": mode,
-                        "n": n,
-                        "run": run_idx,
-                        "caps": list(spec.caps),
-                        "ratio": cost / planted.planted_r,
-                        "chosen_guess": result.best_guess,
-                        "pruned_guesses": len(ladder.pruned),
-                        "caps_respected": not check_fairness(result.centers, spec),
-                        "runtime_s": elapsed,
-                    }
-                )
-                print(
-                    f"n={n:5d} run={run_idx} caps={spec.caps} {mode:7s} "
-                    f"ratio={rows[-1]['ratio']:.3f} guess={result.best_guess:.3f} "
-                    f"{elapsed:.2f}s"
-                )
-    return rows
+                yield {
+                    "mode": mode,
+                    "n": n,
+                    "run": run_idx,
+                    "caps": list(spec.caps),
+                    "ratio": cost / planted.planted_r,
+                    "chosen_guess": result.best_guess,
+                    "pruned_guesses": len(ladder.pruned),
+                    "caps_respected": not check_fairness(result.centers, spec),
+                    "grid_bound": ladder.grid_bound,
+                    "spawned": ladder.spawned_count,
+                    "per_instance_peak": ladder.per_instance_stored_peak,
+                    "total_stored_peak": ladder.total_stored_peak,
+                    "worst_update_excess": ladder.worst_update_excess,
+                    "runtime_s": elapsed,
+                }
 
 
 def main():
@@ -74,7 +73,18 @@ def main():
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    rows = sweep(sizes, args.runs, args.k, args.epsilon, args.dim, args.seed)
+    k, runs = args.k, args.runs
+    rows = []
+    for row in sweep(
+        sizes, runs, k, args.epsilon, args.dim,
+        cap1_of=lambda run_idx: max(1, min(k - 1, (k * (run_idx + 1)) // (runs + 1))),
+        seed_of=lambda n, run_idx: args.seed + 1000 * n + run_idx,
+    ):
+        rows.append(row)
+        print(
+            f"n={row['n']:5d} run={row['run']} caps={tuple(row['caps'])} {row['mode']:7s} "
+            f"ratio={row['ratio']:.3f} guess={row['chosen_guess']:.3f} {row['runtime_s']:.2f}s"
+        )
     for mode in ("general", "semi"):
         ratios = [r["ratio"] for r in rows if r["mode"] == mode]
         print(f"{mode}: max ratio {max(ratios):.3f}, mean {sum(ratios) / len(ratios):.3f}")

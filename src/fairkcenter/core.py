@@ -96,9 +96,9 @@ class DistanceMetric:
     def first_within(self, coords: Coords, stored: Sequence[Coords], radius: float) -> int:
         """Index of the newest of ``stored`` with ``fn(coords, q) <= radius``,
         or -1: where ``nearest`` with that stop radius stops (a NaN stops
-        neither), for the ladder's gates and certificate. It checks no
-        dimension: ``Ladder.observe`` refuses a point of another dimension
-        before any rung sees it, and those scans read only observed points."""
+        neither), for a rung's gates, certificate and both-over cover. It
+        checks no dimension: ``Ladder.observe`` and ``SolverInstance.process``
+        refuse a point of another dimension before a rung scans or stores it."""
         fn = self.fn
         for idx in range(len(stored) - 1, -1, -1):
             if fn(coords, stored[idx]) <= radius:

@@ -79,17 +79,15 @@ class IndependentSet:
         """Cover, store or refuse ``p``. ``clear`` says the caller's own
         counted scan, taken since the set's last change, found ``p`` farther
         than the threshold from every member, so the set neither scans nor
-        tests cover; otherwise it scans and counts, and any member within the
-        threshold, or at it, covers ``p`` (an empty set covers nothing)."""
+        tests cover; otherwise ``min_dist`` scans and counts, stopping at the
+        newest member within the threshold, or at it, which covers ``p`` (an
+        empty set covers nothing)."""
         if self.overflowed:
             raise RuntimeError("offer to an overflowed set")
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
-        if not clear:
-            self.stats.distance_evals += len(self.coords)
-            d, idx = self.metric.nearest(p, self.coords)
-            if idx >= 0 and d <= self.threshold:
-                return OfferResult(OfferStatus.COVERED)
+        if not clear and self.min_dist(p, self.threshold) <= self.threshold:
+            return OfferResult(OfferStatus.COVERED)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
             return OfferResult(OfferStatus.OVERFLOW)

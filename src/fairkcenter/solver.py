@@ -110,16 +110,22 @@ class SolverInstance:
         self.stats.instance_peak = max(self.stats.instance_peak, len(self.stored_order))
 
     def process(self, point: Point, *, clear: bool = False) -> None:
-        """Feed one point, refusing one the instance cannot take. ``clear``
-        says the caller scanned the point's ``gates`` (KeyError if its group
-        has none) and none stopped; their scans count toward this update,
-        whose budget is one evaluation per stored point (each path scans each
-        set at most once). The worst excess is kept in ``stats``; the caller
-        may add its gate counts to ``stats`` before or after the call."""
+        """Feed one point, refusing one the instance cannot take, such as one
+        of another dimension than the first stored point. ``clear`` says the
+        caller scanned the point's ``gates`` (KeyError if its group has none)
+        and none stopped; their scans count toward this update, whose budget
+        is one evaluation per stored point (each path scans each set at most
+        once). The worst excess is kept in ``stats``; the caller may add its
+        gate counts to ``stats`` before or after the call."""
         if self.finalized or self.overflowed:
             raise RuntimeError(f"instance already {'finalized' if self.finalized else 'overflowed'}")
         if point.group not in (1, 2):
             raise ValueError(f"point {point.id} has group {point.group}; this solver expects groups 1 and 2")
+        dim = len(self.stored_order[0].coords) if self.stored_order else len(point.coords)
+        if len(point.coords) != dim:
+            raise ValueError(
+                f"dimension mismatch: point {point.id} has {len(point.coords)} coords, stored points have {dim}"
+            )
         stats = self.stats
         limit = stats.distance_evals + len(self.reps1) + len(self.reps2)
         if clear:
@@ -203,18 +209,14 @@ class StreamInstance(SolverInstance):
         if len(g1) <= k1 or len(g2) <= k2:
             self.path = "one-over"
             over, under = (g2, g1) if len(g1) <= k1 else (g1, g2)
-            return select_with_one_group_over(over, under, self.radius_guess, self.spec, self.metric)
+            return select_with_one_group_over(over, under, self.radius_guess, self.spec)
         self.path = "both-over"
-        graph = self.last_graph = build_cross_graph(g1, g2, self.radius_guess, self.metric)
-        return select_with_both_groups_over(graph, self.spec, self.radius_guess, self.metric)
+        graph = self.last_graph = build_cross_graph(g1, g2, self.radius_guess)
+        return select_with_both_groups_over(graph, self.spec)
 
 
 def select_with_one_group_over(
-    over: IndependentSet,
-    under: IndependentSet,
-    radius_guess: float,
-    spec: FairnessSpec,
-    metric: DistanceMetric = EUCLIDEAN,
+    over: IndependentSet, under: IndependentSet, radius_guess: float, spec: FairnessSpec
 ) -> SolveOutcome:
     """Selection when exactly one group's representatives exceed its cap.
 
@@ -238,42 +240,42 @@ def select_with_one_group_over(
 @dataclass
 class CrossGroupGraph:
     """Bipartite graph over both groups' representatives with an edge between
-    cross-group pairs within the link radius (three radius guesses). The cover
+    cross-group pairs within the link radius (three radius guesses) under
+    ``metric``; the cover reads its guess and metric from here. The cover
     records one ``loop_trace`` entry per loop iteration: (|chosen|, chosen
     group-1 count, chosen group-2 count, live group-1, live group-2)."""
 
-    link_radius: float
+    radius_guess: float
+    metric: DistanceMetric
     points: dict[int, Point]
     adj: dict[int, set[int]]
     loop_trace: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
+    @property
+    def link_radius(self) -> float:
+        return 3.0 * self.radius_guess
 
-def build_cross_graph(
-    g1: IndependentSet,
-    g2: IndependentSet,
-    radius_guess: float,
-    metric: DistanceMetric = EUCLIDEAN,
-) -> CrossGroupGraph:
-    """Link cross-group representatives within three radius guesses."""
-    link_radius = 3.0 * radius_guess
+
+def build_cross_graph(g1: IndependentSet, g2: IndependentSet, radius_guess: float) -> CrossGroupGraph:
+    """Link cross-group representatives within three radius guesses, under
+    the sets' metric; sets under different metrics are refused."""
+    metric = g1.metric
+    if g2.metric != metric:
+        raise ValueError("the two sets use different metrics")
     points = {p.id: p for p in g1.members + g2.members}
     if len(points) != len(g1) + len(g2):
         raise ValueError("duplicate point ids across the two sides")
-    adj: dict[int, set[int]] = {pid: set() for pid in points}
+    graph = CrossGroupGraph(radius_guess, metric, points, {pid: set() for pid in points})
+    link_radius, adj = graph.link_radius, graph.adj
     for p in g1.members:
         for q in g2.members:
             if metric(p, q) <= link_radius:
                 adj[p.id].add(q.id)
                 adj[q.id].add(p.id)
-    return CrossGroupGraph(link_radius, points, adj)
+    return graph
 
 
-def select_with_both_groups_over(
-    graph: CrossGroupGraph,
-    spec: FairnessSpec,
-    radius_guess: float,
-    metric: DistanceMetric = EUCLIDEAN,
-) -> SolveOutcome:
+def select_with_both_groups_over(graph: CrossGroupGraph, spec: FairnessSpec) -> SolveOutcome:
     """Constrained vertex cover when both groups exceed their caps.
 
     Isolated vertices are taken first. Then, while budget and live vertices
@@ -285,7 +287,7 @@ def select_with_both_groups_over(
     resolved directly and selection ends early. Each iteration retires at
     least one live vertex, so the loop runs at most once per vertex.
     """
-    points, adj = graph.points, graph.adj
+    points, adj, metric = graph.points, graph.adj, graph.metric
     live = {pid for pid in points if adj[pid]}
     chosen: list[Point] = []
     counts = [0, 0]  # chosen per group
@@ -299,10 +301,10 @@ def select_with_both_groups_over(
 
     # isolated vertices serve their own neighborhoods; nothing across the
     # groups can stand in for them
-    near_radius = 2.0 * radius_guess
+    near_radius = 2.0 * graph.radius_guess
     for pid in sorted(points):
         p = points[pid]
-        if not adj[pid] and metric.nearest(p, [c.coords for c in chosen], near_radius)[0] > near_radius:
+        if not adj[pid] and metric.first_within(p.coords, [c.coords for c in chosen], near_radius) < 0:
             take(p)
 
     def try_early_exit() -> list[Point] | None:
@@ -316,7 +318,7 @@ def select_with_both_groups_over(
                 served = [c.coords for c in base]
                 others = (points[pid] for pid in live_in(3 - group))
                 link = graph.link_radius
-                return base + [q for q in others if metric.nearest(q, served, link)[0] > link]
+                return base + [q for q in others if metric.first_within(q.coords, served, link) < 0]
         return None
 
     final = try_early_exit()  # harmless pre-loop check; fires only when already feasible

@@ -1,9 +1,11 @@
 """Acceptance gate: one test per release criterion, each printing a
 pass/fail line (run with -s to see them alongside the pytest verdicts)."""
 
+import importlib.util
 import itertools
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from fairkcenter import (
 from conftest import pt, random_two_group_instance, stream
 
 RNG_SEED = 7_2024
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def conclude(criterion: int, name: str, failures: list, detail: str = "") -> None:
@@ -116,40 +119,14 @@ LADDER_EPSILON = 0.1
 
 @pytest.fixture(scope="session")
 def planted_ladder_runs():
-    records = []
-    for n in LADDER_SIZES:
-        for run_idx in range(LADDER_RUNS_PER_SIZE):
-            cap1 = 5 + 4 * run_idx  # ten constraint mixes from (5,45) to (41,9)
-            spec = FairnessSpec((cap1, LADDER_K - cap1))
-            planted = generate_planted(spec, n, 1.0, seed=1000 * n + run_idx)
-            for mode in ("general", "semi"):
-                points = list(planted.points)
-                if mode == "semi":
-                    points.sort(key=lambda p: p.group)
-                ladder = Ladder(spec, epsilon=LADDER_EPSILON, mode=mode)
-                started = time.perf_counter()
-                for p in points:
-                    ladder.observe(p)
-                result = ladder.finish()
-                elapsed = time.perf_counter() - started
-                cost = clustering_cost(planted.points, result.centers)
-                records.append(
-                    {
-                        "mode": mode,
-                        "n": n,
-                        "run": run_idx,
-                        "spec": spec,
-                        "ratio": cost / planted.planted_r,
-                        "fair": not check_fairness(result.centers, spec),
-                        "grid_bound": ladder.grid_bound,
-                        "spawned": ladder.spawned_count,
-                        "per_instance_peak": ladder.per_instance_stored_peak,
-                        "total_stored_peak": ladder.total_stored_peak,
-                        "worst_update_excess": ladder.worst_update_excess,
-                        "seconds": elapsed,
-                    }
-                )
-    return records
+    # the sweep of scripts/ratio_sweep.py, at ten constraint mixes from (5,45) to (41,9)
+    spec = importlib.util.spec_from_file_location("ratio_sweep", SCRIPTS / "ratio_sweep.py")
+    ratio_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ratio_sweep)
+    return list(ratio_sweep.sweep(
+        LADDER_SIZES, LADDER_RUNS_PER_SIZE, LADDER_K, LADDER_EPSILON, dim=2,
+        cap1_of=lambda run_idx: 5 + 4 * run_idx, seed_of=lambda n, run_idx: 1000 * n + run_idx,
+    ))
 
 
 def test_criterion_4_ladder_empirical_ratios(planted_ladder_runs):
@@ -158,11 +135,11 @@ def test_criterion_4_ladder_empirical_ratios(planted_ladder_runs):
     bound = {"general": 5.0 * (1.0 + LADDER_EPSILON), "semi": 3.0 * (1.0 + LADDER_EPSILON)}
     for rec in planted_ladder_runs:
         worst[rec["mode"]] = max(worst[rec["mode"]], rec["ratio"])
-        if not rec["fair"]:
+        if not rec["caps_respected"]:
             failures.append((rec["mode"], rec["n"], rec["run"], "caps violated"))
         if rec["ratio"] > bound[rec["mode"]] + 1e-9:
             failures.append((rec["mode"], rec["n"], rec["run"], f"ratio {rec['ratio']:.3f}"))
-    total = sum(rec["seconds"] for rec in planted_ladder_runs)
+    total = sum(rec["runtime_s"] for rec in planted_ladder_runs)
     conclude(
         4,
         "ladder empirical ratios on planted datasets",

@@ -101,7 +101,8 @@ def test_a_stopped_scan_counts_every_member_as_logical_and_only_those_made_as_pe
     s = IndependentSet(3.0)
     for i, x in enumerate([0.0, 10.0, 20.0, 30.0]):
         s.offer(pt(i, x))
-    assert s.stats.evals_performed == s.stats.distance_evals  # offers scan everything
+    # an offer that nothing covers scans every member
+    assert s.stats.evals_performed == s.stats.distance_evals
     logical, performed = s.stats.distance_evals, s.stats.evals_performed
     # newest first: 30 and 20 are farther than 3, 10 at index 1 is within it
     assert s.min_dist(pt(9, 11.0), within=3.0) == 1.0
@@ -109,6 +110,27 @@ def test_a_stopped_scan_counts_every_member_as_logical_and_only_those_made_as_pe
     assert s.stats.evals_performed - performed == 4 - 1
     assert s.min_dist(pt(9, 50.0), within=3.0) == 20.0  # nothing within: every member
     assert s.stats.evals_performed - performed == 3 + 4
+
+
+def test_an_offer_stops_its_cover_scan_at_the_newest_member_within_the_threshold():
+    made = []
+
+    def counted(a, b):
+        made.append(b)
+        return abs(a[0] - b[0])
+
+    metric = DistanceMetric.from_callable(counted, "counted")
+    n = 6
+    for i in range(n):
+        s = IndependentSet(3.0, metric)
+        for j in range(n):
+            s.offer(pt(j, 10.0 * j), clear=True)  # members 0, 10, ..., 50, unscanned
+        made.clear()
+        # only member i is within the threshold: newest first, the scan makes
+        # n - i evaluations and counts all n as logical ones
+        assert s.offer(pt(n, 10.0 * i + 1.0)).status is OfferStatus.COVERED
+        assert made == [(10.0 * j,) for j in range(n - 1, i - 1, -1)]
+        assert (s.stats.distance_evals, s.stats.evals_performed) == (n, n - i)
 
 
 def test_offer_costs_exactly_one_eval_per_member():

@@ -56,6 +56,24 @@ def test_ladder_fingerprint_repeats_exactly():
     assert runs[1].stdout == runs[0].stdout
 
 
+def test_ladder_fingerprint_results_match_the_golden_file():
+    """Every result field of a small fingerprint run, the benchmark's
+    planted inputs at n=300 and the oracle-check pool of seed 1, is pinned in
+    tests/golden/fingerprint_results.jsonl. Rewrite that file from this
+    command's output only for an intended change of results."""
+    argv = [
+        sys.executable, str(SCRIPTS / "ladder_fingerprint.py"),
+        "--n", "300", "--pool", "2", "--seeds", "1", "--results",
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    golden = (ROOT / "tests" / "golden" / "fingerprint_results.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = proc.stdout.splitlines()
+    for number, (want, got) in enumerate(zip(golden, lines), 1):
+        assert got == want, f"line {number} differs from the golden file:\n  golden {want}\n  now    {got}"
+    assert len(lines) == len(golden), f"{len(lines)} lines, the golden file has {len(golden)}"
+
+
 def test_ladder_fingerprint_results_keep_only_the_result_fields():
     # "result fields equal, counters may move" is then one cmp of two outputs
     argv = [sys.executable, str(SCRIPTS / "ladder_fingerprint.py"), "--n", "300", "--pool", "1", "--seeds", "1"]

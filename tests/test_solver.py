@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from fairkcenter import (
     EUCLIDEAN,
     CenterSet,
+    DistanceMetric,
     FairnessSpec,
     IndependentSet,
     InfeasibleReason,
+    Point,
     SemiInstance,
     SolveOutcome,
     StreamInstance,
@@ -17,6 +20,7 @@ from fairkcenter import (
     clustering_cost,
     run_known,
 )
+from fairkcenter.ladder import make_instance
 from fairkcenter.solver import build_cross_graph, select_with_both_groups_over, select_with_one_group_over
 
 from conftest import pt, random_two_group_instance, stream
@@ -25,8 +29,8 @@ SPEC_11 = FairnessSpec((1, 1))
 SPEC_12 = FairnessSpec((1, 2))
 
 
-def filled_set(threshold, coords, group):
-    s = IndependentSet(threshold, group_filter=group)
+def filled_set(threshold, coords, group, metric=EUCLIDEAN):
+    s = IndependentSet(threshold, metric, group_filter=group)
     for i, c in enumerate(coords):
         s.offer(pt(1000 * group + i, c, group))
     return s
@@ -200,9 +204,48 @@ def test_both_over_edge_branch_runs_without_degree_one_vertices():
     g2 = filled_set(1.0, [0.4, 1.5], group=2)
     graph = build_cross_graph(g1, g2, 0.5)
     assert all(len(graph.adj[pid]) == 2 for pid in graph.points)
-    out = select_with_both_groups_over(graph, FairnessSpec((1, 1)), 0.5)
+    out = select_with_both_groups_over(graph, FairnessSpec((1, 1)))
     assert out.feasible
     assert sorted(p.coords[0] for p in out.centers) == [0.0, 1.5]
+
+
+def test_the_cover_scans_under_its_graphs_metric_and_mixed_metrics_are_refused(monkeypatch):
+    made = []
+
+    def counted(a, b):
+        made.append((a, b))
+        return abs(a[0] - b[0])
+
+    metric = DistanceMetric.from_callable(counted, "counted")
+    # 50 and 70 are isolated, scanned against the empty chosen list and
+    # against 50; the loop takes 0 and retires 0.5, then the group-2 early
+    # exit takes 100.5 and scans 100 against the served centers, stopping at
+    # 100.5, the newest: three scans, two evaluations
+    g1 = filled_set(1.0, [0.0, 100.0, 50.0], group=1, metric=metric)
+    g2 = filled_set(1.0, [0.5, 100.5, 70.0], group=2, metric=metric)
+    graph = build_cross_graph(g1, g2, 0.5)
+    assert graph.metric is metric and graph.radius_guess == 0.5 and graph.link_radius == 1.5
+    scans = []
+    for name in ("__call__", "nearest", "first_within"):
+        original = getattr(DistanceMetric, name)
+
+        def recorded(self, *args, _name=name, _original=original):
+            scans.append((_name, self))
+            return _original(self, *args)
+
+        monkeypatch.setattr(DistanceMetric, name, recorded)
+    made.clear()
+    out = select_with_both_groups_over(graph, FairnessSpec((2, 2)))
+    assert [p.coords[0] for p in out.centers] == [50.0, 70.0, 0.0, 100.5]
+    assert scans == [("first_within", metric)] * 3 and len(made) == 2
+
+    # a pair of sets under different metrics is refused before any scan
+    plain = filled_set(1.0, [0.5, 100.5, 70.0], group=2)
+    made.clear()
+    for pair in ((g1, plain), (plain, g2)):
+        with pytest.raises(ValueError, match="^the two sets use different metrics$"):
+            build_cross_graph(*pair, 0.5)
+    assert not made
 
 
 def test_both_over_trace_respects_budget_when_guess_at_optimum(rng):
@@ -285,6 +328,29 @@ def test_both_solvers_share_the_lifecycle_guards(solver):
     assert out.reason is InfeasibleReason.STREAM_OVERFLOW and over.path == "overflow"
     with pytest.raises(RuntimeError, match="one-shot"):
         over.finalize()
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+def test_a_rung_refuses_a_point_of_another_dimension_before_any_change(mode):
+    # a group's first point meets an empty set, so no scan compares its
+    # dimension; the rung compares it with its first stored point
+    bad = Point(1, (5, 1, 2), 2)
+    message = "^dimension mismatch: point 1 has 3 coords, stored points have 2$"
+    with pytest.raises(ValueError, match=message):
+        run_known(1.0, [Point(0, (0, 0), 1), bad], SPEC_11, mode=mode)
+    inst = make_instance(mode, 1.0, SPEC_11)
+    inst.process(Point(0, (0, 0), 1))
+
+    def state():
+        sets = [(list(s.members), list(s.coords), s.overflowed) for s in (inst.reps1, inst.reps2)]
+        return list(inst.stored_order), sets, dataclasses.replace(inst.stats)
+
+    before = state()
+    with pytest.raises(ValueError, match=message):
+        inst.process(bad)
+    assert state() == before
+    inst.process(Point(2, (5, 1), 2))  # the rung still takes points of its dimension
+    assert inst.stored_count == 2
 
 
 def test_finalize_is_one_shot():
@@ -524,7 +590,7 @@ def test_cover_matches_the_graph_state_reference_when_the_threshold_disagrees():
             sets[p.group].offer(p)
         guess = random_guess(rng, 0.1, 4.0)
         graph = build_cross_graph(sets[1], sets[2], guess)
-        out = select_with_both_groups_over(graph, spec, guess)
+        out = select_with_both_groups_over(graph, spec)
         record = assert_cover_matches_reference(sets[1], sets[2], spec, guess, graph, out)
         kinds.add((record[0], bool(record[-1])))
     # feasible and infeasible outcomes, with and without the loop running
