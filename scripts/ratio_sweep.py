@@ -48,14 +48,21 @@ def sweep(sizes, runs_per_size, k, epsilon, dim, cap1_of, seed_of):
                     "n": n,
                     "run": run_idx,
                     "caps": list(spec.caps),
+                    "cost": cost,
                     "ratio": cost / planted.planted_r,
                     "chosen_guess": result.best_guess,
+                    # a certified lower bound on the optimum; None when the
+                    # stream sat at one location and spawned no grid
+                    "lowest_guess": ladder.guesses[0] if ladder.guesses else None,
+                    "live_guesses": ladder.live_count,
                     "pruned_guesses": len(ladder.pruned),
                     "caps_respected": not check_fairness(result.centers, spec),
                     "grid_bound": ladder.grid_bound,
                     "spawned": ladder.spawned_count,
                     "per_instance_peak": ladder.per_instance_stored_peak,
                     "total_stored_peak": ladder.total_stored_peak,
+                    "distance_evals": ladder.total_distance_evals,
+                    "evals_performed": ladder.total_evals_performed,
                     "worst_update_excess": ladder.worst_update_excess,
                     "runtime_s": elapsed,
                 }

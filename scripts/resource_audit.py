@@ -18,46 +18,36 @@ Usage::
 """
 
 import argparse
-import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from fairkcenter import FairnessSpec, Ladder, clustering_cost, generate_planted
+from ratio_sweep import sweep  # this script's own directory leads sys.path
 
 
 def audit(n, k, epsilon, seed):
-    spec = FairnessSpec((k // 2, k - k // 2))
-    planted = generate_planted(spec, n, 1.0, seed=seed)
-    for mode in ("general", "semi"):
-        points = list(planted.points)
-        if mode == "semi":
-            points.sort(key=lambda p: p.group)
-        ladder = Ladder(spec, epsilon=epsilon, mode=mode)
-        for p in points:
-            ladder.observe(p)
-        result = ladder.finish()
-        cost = clustering_cost(planted.points, result.centers)
+    """One row per mode from ``ratio_sweep.sweep``: caps (k // 2, the rest)
+    on one planted dataset of n points, drawn with ``seed``."""
+    rows = sweep([n], 1, k, epsilon, 2, cap1_of=lambda _: k // 2, seed_of=lambda n, _: seed)
+    for row in rows:
+        mode, cost, lowest = row["mode"], row["cost"], row["lowest_guess"]
         per_instance_cap = (2 * k + 2) if mode == "general" else (3 * k + 2)
         print(f"== {mode} ==")
-        print(f"  cost / planted radius {cost / planted.planted_r:.3f}")
+        print(f"  cost / planted radius {row['ratio']:.3f}")
         if n < 3 * k:  # some clusters lack their opposed pair at the planted radius
             print("    (n < 3k: the planted radius only bounds the optimum from above)")
-        if ladder.guesses:
-            print(f"  lowest guess          {ladder.guesses[0]:.6g}")
-            print(f"  cost / lowest guess   {cost / ladder.guesses[0]:.3f}")
+        if lowest is not None:
+            print(f"  lowest guess          {lowest:.6g}")
+            print(f"  cost / lowest guess   {cost / lowest:.3f}")
         else:  # a stream at one location collapses to one center and spawns no grid
             print("  lowest guess          none (one location)")
             print("  cost / lowest guess   none (one location)")
-        print(f"  per-instance peak     {ladder.per_instance_stored_peak:5d}  (cap {per_instance_cap})")
-        print(f"  total stored peak     {ladder.total_stored_peak:5d}")
-        print(f"  instances spawned     {ladder.spawned_count:5d}  (grid bound {ladder.grid_bound})")
-        print(f"  instances live/pruned {ladder.live_count:5d} / {len(ladder.pruned)}")
-        print(f"  distance evaluations  {ladder.total_distance_evals}")
-        performed, logical = ladder.total_evals_performed, ladder.total_distance_evals
+        print(f"  per-instance peak     {row['per_instance_peak']:5d}  (cap {per_instance_cap})")
+        print(f"  total stored peak     {row['total_stored_peak']:5d}")
+        print(f"  instances spawned     {row['spawned']:5d}  (grid bound {row['grid_bound']})")
+        print(f"  instances live/pruned {row['live_guesses']:5d} / {row['pruned_guesses']}")
+        print(f"  distance evaluations  {row['distance_evals']}")
+        performed, logical = row["evals_performed"], row["distance_evals"]
         share = f"{performed / logical:.2f}" if logical else "none"
         print(f"  evaluations performed {performed}  ({share} of them)")
-        print(f"  worst update excess   {ladder.worst_update_excess}")
+        print(f"  worst update excess   {row['worst_update_excess']}")
 
 
 def main():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -54,7 +55,10 @@ class PointReader:
         max_groups: int | None = None,
         require_group_sorted: bool = False,
     ) -> None:
-        self._reader = csv.reader(handle)
+        # drop the byte-order mark of a "CSV UTF-8" export, also before a quoted first cell
+        lines = iter(handle)
+        first = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
+        self._reader = csv.reader(itertools.chain(first, lines))
         self.group_col = group_col
         self.max_groups = max_groups
         self.require_group_sorted = require_group_sorted

@@ -209,15 +209,21 @@ class StreamInstance(SolverInstance):
         if len(g1) <= k1 or len(g2) <= k2:
             self.path = "one-over"
             over, under = (g2, g1) if len(g1) <= k1 else (g1, g2)
-            return select_with_one_group_over(over, under, self.radius_guess, self.spec)
+            return select_with_one_group_over(over, under, self.spec)
         self.path = "both-over"
-        graph = self.last_graph = build_cross_graph(g1, g2, self.radius_guess)
+        graph = self.last_graph = build_cross_graph(g1, g2)
         return select_with_both_groups_over(graph, self.spec)
 
 
-def select_with_one_group_over(
-    over: IndependentSet, under: IndependentSet, radius_guess: float, spec: FairnessSpec
-) -> SolveOutcome:
+def _link_radius(g1: IndependentSet, g2: IndependentSet) -> float:
+    """Three guesses, 1.5 times the threshold both sets share (twice the
+    guess); sets at different thresholds or under different metrics are refused."""
+    if (g1.metric, g1.threshold) != (g2.metric, g2.threshold):
+        raise ValueError("the two sets differ in metric or threshold")
+    return 1.5 * g1.threshold
+
+
+def select_with_one_group_over(over: IndependentSet, under: IndependentSet, spec: FairnessSpec) -> SolveOutcome:
     """Selection when exactly one group's representatives exceed its cap.
 
     Representatives of the overfull group within three guesses of the other
@@ -227,7 +233,7 @@ def select_with_one_group_over(
     """
     if over.group_filter is None:
         raise ValueError("overfull set must be group-filtered")
-    keep_beyond = 3.0 * radius_guess
+    keep_beyond = _link_radius(over, under)
     survivors = [p for p in over.members if under.min_dist(p, keep_beyond) > keep_beyond]
     if len(survivors) > spec.cap(over.group_filter):
         return SolveOutcome.infeasible(InfeasibleReason.FAIRNESS_VIOLATED)
@@ -240,39 +246,32 @@ def select_with_one_group_over(
 @dataclass
 class CrossGroupGraph:
     """Bipartite graph over both groups' representatives with an edge between
-    cross-group pairs within the link radius (three radius guesses) under
-    ``metric``; the cover reads its guess and metric from here. The cover
-    records one ``loop_trace`` entry per loop iteration: (|chosen|, chosen
-    group-1 count, chosen group-2 count, live group-1, live group-2)."""
+    cross-group pairs within the link radius (three guesses, 1.5 times the
+    sets' threshold) under ``metric``; the cover reads both from here. The
+    cover records one ``loop_trace`` entry per loop iteration: (|chosen|,
+    chosen group-1 count, chosen group-2 count, live group-1, live group-2)."""
 
-    radius_guess: float
+    link_radius: float
     metric: DistanceMetric
     points: dict[int, Point]
     adj: dict[int, set[int]]
     loop_trace: list[tuple[int, int, int, int, int]] = field(default_factory=list)
 
-    @property
-    def link_radius(self) -> float:
-        return 3.0 * self.radius_guess
 
-
-def build_cross_graph(g1: IndependentSet, g2: IndependentSet, radius_guess: float) -> CrossGroupGraph:
-    """Link cross-group representatives within three radius guesses, under
-    the sets' metric; sets under different metrics are refused."""
-    metric = g1.metric
-    if g2.metric != metric:
-        raise ValueError("the two sets use different metrics")
+def build_cross_graph(g1: IndependentSet, g2: IndependentSet) -> CrossGroupGraph:
+    """Link cross-group representatives within the sets' link radius, under
+    their shared metric; ``_link_radius`` refuses mismatched sets."""
+    link_radius, metric = _link_radius(g1, g2), g1.metric
     points = {p.id: p for p in g1.members + g2.members}
     if len(points) != len(g1) + len(g2):
         raise ValueError("duplicate point ids across the two sides")
-    graph = CrossGroupGraph(radius_guess, metric, points, {pid: set() for pid in points})
-    link_radius, adj = graph.link_radius, graph.adj
+    adj: dict[int, set[int]] = {pid: set() for pid in points}
     for p in g1.members:
         for q in g2.members:
             if metric(p, q) <= link_radius:
                 adj[p.id].add(q.id)
                 adj[q.id].add(p.id)
-    return graph
+    return CrossGroupGraph(link_radius, metric, points, adj)
 
 
 def select_with_both_groups_over(graph: CrossGroupGraph, spec: FairnessSpec) -> SolveOutcome:
@@ -299,13 +298,12 @@ def select_with_both_groups_over(graph: CrossGroupGraph, spec: FairnessSpec) -> 
     def live_in(group: int) -> list[int]:
         return sorted(pid for pid in live if points[pid].group == group)
 
-    # isolated vertices serve their own neighborhoods; nothing across the
-    # groups can stand in for them
-    near_radius = 2.0 * graph.radius_guess
+    # isolated vertices serve their own neighborhoods, and none is within two
+    # guesses of another vertex (its own group's lie beyond the threshold, the
+    # other group's beyond the link radius), so all are taken without a scan
     for pid in sorted(points):
-        p = points[pid]
-        if not adj[pid] and metric.first_within(p.coords, [c.coords for c in chosen], near_radius) < 0:
-            take(p)
+        if not adj[pid]:
+            take(points[pid])
 
     def try_early_exit() -> list[Point] | None:
         """When some group's chosen + live representatives fit its cap, take

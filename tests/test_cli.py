@@ -291,6 +291,21 @@ def test_stdin_input_skips_the_cost_replay(capsys, monkeypatch):
     assert [c["coords"][0] for c in report["centers"]] == [0.0, 100.5]
 
 
+@pytest.mark.parametrize("header", ["group,x", '"group","x"'])
+def test_a_leading_byte_order_mark_is_dropped_from_files_and_stdin(tmp_path, capsys, monkeypatch, header):
+    body = header + "\na,0\nb,5\na,10\n"
+    reports = []
+    for text in (body, "\ufeff" + body):
+        path = write(tmp_path, "points.csv", text)
+        for source in (path, "-"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["solve", "--caps", "1,1", "--input", source]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["group_labels"] == ["a", "b"]
+            reports.append((source == "-", [c["id"] for c in report["centers"]]))
+    assert reports[2:] == reports[:2]
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 @pytest.mark.parametrize("mode", [["solve"], ["semi"], ["oracle"], ["known", "--radius", "1.0"]])
 def test_non_finite_cell_is_a_structured_error(tmp_path, capsys, mode, cell):

@@ -106,9 +106,11 @@ def test_one_group_over_worked_example():
 
 
 def test_one_group_over_filter_can_drop_everything():
+    # sets at threshold 2.0 keep only what lies beyond 3.0 (three guesses of
+    # 1.0) of the other set; every group-1 rep lies 1 from a group-2 rep
     over = filled_set(2.0, [0.0, 10.0], group=1)
     under = filled_set(2.0, [1.0, 11.0], group=2)
-    out = select_with_one_group_over(over, under, 4.0, FairnessSpec((1, 2)))
+    out = select_with_one_group_over(over, under, FairnessSpec((1, 2)))
     assert out.feasible
     assert sorted(p.coords[0] for p in out.centers) == [1.0, 11.0]
 
@@ -120,7 +122,7 @@ def test_one_group_over_refuses_an_unfiltered_set_before_scanning():
     under = filled_set(2.0, [1.0, 11.0], group=2)
     before = under.stats.distance_evals
     with pytest.raises(ValueError, match="group-filtered"):
-        select_with_one_group_over(over, under, 4.0, SPEC_12)
+        select_with_one_group_over(over, under, SPEC_12)
     assert under.stats.distance_evals == before
 
 
@@ -143,7 +145,7 @@ def graph_edges(graph):
 def test_graph_edges_at_link_radius():
     g1 = filled_set(1.0, [0.0, 100.0], group=1)
     g2 = filled_set(1.0, [0.5, 100.5], group=2)
-    graph = build_cross_graph(g1, g2, 0.5)
+    graph = build_cross_graph(g1, g2)
     coords = {pid: p.coords[0] for pid, p in graph.points.items()}
     edges = {(coords[a], coords[b]) for a, b in graph_edges(graph)}
     assert edges == {(0.0, 0.5), (100.0, 100.5)}
@@ -152,14 +154,15 @@ def test_graph_edges_at_link_radius():
 def test_graph_edgeless_when_groups_are_far():
     g1 = filled_set(1.0, [0.0], group=1)
     g2 = filled_set(1.0, [100.0], group=2)
-    graph = build_cross_graph(g1, g2, 0.5)
+    graph = build_cross_graph(g1, g2)
     assert graph_edges(graph) == set()
 
 
 def test_graph_degree_counts_all_links():
-    g1 = filled_set(0.1, [0.0], group=1)
-    g2 = filled_set(0.1, [1.0, 1.4], group=2)
-    graph = build_cross_graph(g1, g2, 0.5)  # link radius 1.5 reaches both
+    g1 = filled_set(1.0, [0.0], group=1)
+    g2 = filled_set(1.0, [1.0, -1.0], group=2)  # both stored: 2 apart
+    assert len(g2) == 2
+    graph = build_cross_graph(g1, g2)  # link radius 1.5 reaches both
     left_id = g1.members[0].id
     assert len(graph.adj[left_id]) == 2
 
@@ -202,7 +205,7 @@ def test_both_over_edge_branch_runs_without_degree_one_vertices():
     # edge is taken first, and the group-2 early exit then adds 1.5
     g1 = filled_set(1.0, [0.0, 1.1], group=1)
     g2 = filled_set(1.0, [0.4, 1.5], group=2)
-    graph = build_cross_graph(g1, g2, 0.5)
+    graph = build_cross_graph(g1, g2)
     assert all(len(graph.adj[pid]) == 2 for pid in graph.points)
     out = select_with_both_groups_over(graph, FairnessSpec((1, 1)))
     assert out.feasible
@@ -217,14 +220,14 @@ def test_the_cover_scans_under_its_graphs_metric_and_mixed_metrics_are_refused(m
         return abs(a[0] - b[0])
 
     metric = DistanceMetric.from_callable(counted, "counted")
-    # 50 and 70 are isolated, scanned against the empty chosen list and
-    # against 50; the loop takes 0 and retires 0.5, then the group-2 early
-    # exit takes 100.5 and scans 100 against the served centers, stopping at
-    # 100.5, the newest: three scans, two evaluations
+    # 50 and 70 are isolated and taken without a scan; the loop takes 0 and
+    # retires 0.5, then the group-2 early exit takes 100.5 and scans 100
+    # against the served centers, stopping at 100.5, the newest: one scan,
+    # one evaluation
     g1 = filled_set(1.0, [0.0, 100.0, 50.0], group=1, metric=metric)
     g2 = filled_set(1.0, [0.5, 100.5, 70.0], group=2, metric=metric)
-    graph = build_cross_graph(g1, g2, 0.5)
-    assert graph.metric is metric and graph.radius_guess == 0.5 and graph.link_radius == 1.5
+    graph = build_cross_graph(g1, g2)
+    assert graph.metric is metric and graph.link_radius == 1.5
     scans = []
     for name in ("__call__", "nearest", "first_within"):
         original = getattr(DistanceMetric, name)
@@ -237,15 +240,20 @@ def test_the_cover_scans_under_its_graphs_metric_and_mixed_metrics_are_refused(m
     made.clear()
     out = select_with_both_groups_over(graph, FairnessSpec((2, 2)))
     assert [p.coords[0] for p in out.centers] == [50.0, 70.0, 0.0, 100.5]
-    assert scans == [("first_within", metric)] * 3 and len(made) == 2
+    assert scans == [("first_within", metric)] and len(made) == 1
 
-    # a pair of sets under different metrics is refused before any scan
+    # a pair of sets under different metrics, or at different thresholds, is
+    # refused by both selections before any evaluation
     plain = filled_set(1.0, [0.5, 100.5, 70.0], group=2)
+    wider = filled_set(2.0, [0.5, 100.5, 70.0], group=2, metric=metric)
     made.clear()
-    for pair in ((g1, plain), (plain, g2)):
-        with pytest.raises(ValueError, match="^the two sets use different metrics$"):
-            build_cross_graph(*pair, 0.5)
-    assert not made
+    scans.clear()
+    for pair in ((g1, plain), (plain, g2), (g1, wider), (wider, g1)):
+        with pytest.raises(ValueError, match="^the two sets differ in metric or threshold$"):
+            build_cross_graph(*pair)
+        with pytest.raises(ValueError, match="^the two sets differ in metric or threshold$"):
+            select_with_one_group_over(*pair, FairnessSpec((2, 2)))
+    assert not made and not scans
 
 
 def test_both_over_trace_respects_budget_when_guess_at_optimum(rng):
@@ -577,9 +585,10 @@ def test_cover_matches_the_graph_state_reference_on_stream_finalizes():
     assert compared == 500 and looped >= 400
 
 
-def test_cover_matches_the_graph_state_reference_when_the_threshold_disagrees():
-    # sets built at one threshold, covered at an unrelated guess: the cover
-    # sees graphs its own stream would never hand it
+def test_cover_matches_the_graph_state_reference_on_sets_built_by_bare_offers():
+    # uncapped sets fed every point of their group at a random threshold,
+    # covered at half that threshold: the cover sees graphs with no cap
+    # overflow and no certificate behind them
     rng = np.random.default_rng(7012)
     kinds = set()
     for _ in range(500):
@@ -588,8 +597,8 @@ def test_cover_matches_the_graph_state_reference_when_the_threshold_disagrees():
         sets = {g: IndependentSet(threshold, group_filter=g) for g in (1, 2)}
         for p in points:
             sets[p.group].offer(p)
-        guess = random_guess(rng, 0.1, 4.0)
-        graph = build_cross_graph(sets[1], sets[2], guess)
+        guess = threshold / 2.0
+        graph = build_cross_graph(sets[1], sets[2])
         out = select_with_both_groups_over(graph, spec)
         record = assert_cover_matches_reference(sets[1], sets[2], spec, guess, graph, out)
         kinds.add((record[0], bool(record[-1])))
