@@ -13,12 +13,15 @@ copied into the collection, which is rewritten after every pair, so an
 interrupted session keeps the pairs it finished. A collection that already
 exists for the same parent is extended, so several workloads and seeds go
 into one file. ``medians`` holds, per (workload, seed, trace), each side's
-median and quartiles of every end-to-end metric, the number of pairs in
+median and quartiles of every end-to-end metric, each side's median
+``attempted`` (the operations its runs made: ``peak_rss_mb`` grows with the
+solves that fit in the window), the number of pairs in
 which the change read better (by ``better`` in the change tree's
 ``BENCHMARK.json``; ties count for neither side), each end-to-end metric's
 relative change of medians, and ``past_bound``: the metrics whose change
-is worse than their ``bound`` there. The names in ``past_bound`` are
-printed after the last pair.
+is worse than their ``bound`` there. Each pair's line prints both sides'
+``solve_s``, ``peak_rss_mb`` and ``attempted``; the names in ``past_bound``
+are printed after the last pair.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ def relative_change(parent: float, change: float) -> float | None:
 
 def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
     """Per (workload, seed, trace): each side's median and quartiles of every
-    metric, how many pairs the change won on each end-to-end metric, the
-    relative change of its medians and the metrics past their bound."""
+    metric and its median ``attempted``, how many pairs the change won on
+    each end-to-end metric, the relative change of its medians and the
+    metrics past their bound."""
     groups: dict[tuple, list[dict]] = {}
     for pair in pairs:
         groups.setdefault((pair["workload"], pair["seed"], pair["trace"]), []).append(pair)
@@ -84,6 +88,7 @@ def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
             values = {n: [p[side]["metrics"][n]["value"] for p in group] for n in names}
             entry[side] = {n: statistics.median(v) for n, v in values.items()}
             entry[f"{side}_quartiles"] = {n: quartiles(v) for n, v in values.items()}
+        entry["attempted"] = {side: statistics.median(p[side]["attempted"] for p in group) for side in SIDES}
         wins, rel, past = {}, {}, []
         for n in names:
             if n in end_to_end:
@@ -138,8 +143,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         collection["medians"] = medians(collection["pairs"], end_to_end)
         out.write_text(json.dumps(collection, indent=1) + "\n")
-        solve = {side: records[side]["metrics"]["solve_s"]["value"] for side in SIDES}
-        print(f"pair {done + 1}: solve_s parent {solve['parent']:.4f} change {solve['change']:.4f}", flush=True)
+        read = [
+            (n, f, [records[side]["metrics"][n]["value"] for side in SIDES])
+            for n, f in (("solve_s", ".4f"), ("peak_rss_mb", ".2f"))
+        ]
+        read.append(("attempted", "d", [records[side]["attempted"] for side in SIDES]))
+        line = ", ".join(f"{n} parent {p:{f}} change {c:{f}}" for n, f, (p, c) in read)
+        print(f"pair {done + 1}: {line}", flush=True)
     [entry] = [e for e in collection["medians"] if (e["workload"], e["seed"], e["trace"]) == key]
     print(f"past bound over {entry['pairs']} pairs: {', '.join(entry['past_bound']) or 'none'}")
     print(f"wrote {out}")

@@ -43,8 +43,8 @@ class PointReader:
     """One-pass CSV reader yielding points in file order.
 
     Expects a header row; every column except the group column must be
-    numeric. Group values may be arbitrary strings and map to 1..m by first
-    appearance; the mapping is recorded in ``group_labels``. With
+    numeric. Group values may be arbitrary non-empty strings and map to 1..m
+    by first appearance; the mapping is recorded in ``group_labels``. With
     ``require_group_sorted`` a point of an already-closed group raises.
     """
 
@@ -101,6 +101,8 @@ class PointReader:
                         f"{self.group_labels[-1]!r} started",
                     )
             else:
+                if not label:  # checked at first appearance only: a blank label never gets stored
+                    raise CsvFormatError(self.line_no, f"empty group value in column {self._group_idx}")
                 if self.max_groups is not None and len(self.group_labels) >= self.max_groups:
                     raise CsvFormatError(
                         self.line_no,

@@ -81,7 +81,9 @@ class DistanceMetric:
         best = math.inf
         best_idx = -1
         fn = self.fn
-        for idx in range(len(stored) - 1, -1, -1):
+        idx = len(stored)
+        while idx:
+            idx -= 1
             d = fn(pc, stored[idx])
             # while the scan runs, best > within, so a point within the
             # radius always passes this test first; <= keeps the earliest tie
@@ -100,7 +102,10 @@ class DistanceMetric:
         checks no dimension: ``Ladder.observe`` and ``SolverInstance.process``
         refuse a point of another dimension before a rung scans or stores it."""
         fn = self.fn
-        for idx in range(len(stored) - 1, -1, -1):
+        # a countdown, not a range: each call builds no range object or iterator
+        idx = len(stored)
+        while idx:
+            idx -= 1
             if fn(coords, stored[idx]) <= radius:
                 return idx
         return -1

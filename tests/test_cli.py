@@ -54,6 +54,12 @@ def test_reader_non_finite_feature_names_line_and_column(cell):
         list(reader_for(f"x,y,group\n0,0,1\n0,{cell},2\n"))
 
 
+@pytest.mark.parametrize("cell", ["", "  "])
+def test_reader_refuses_an_empty_group_cell_naming_line_and_column(cell):
+    with pytest.raises(CsvFormatError, match="^line 3: empty group value in column 1$"):
+        list(reader_for(f"x,group\n0,a\n5,{cell}\n10,a\n"))
+
+
 def test_reader_ragged_row():
     with pytest.raises(CsvFormatError, match="line 3"):
         list(reader_for("x,y,group\n0,0,1\n0,1\n"))
@@ -316,6 +322,17 @@ def test_non_finite_cell_is_a_structured_error(tmp_path, capsys, mode, cell):
     assert payload["schema"] == "fairkcenter-error/1"
     assert payload["error"]["kind"] == "CsvFormatError"
     assert payload["error"]["message"] == f"line 4: non-finite value '{cell}' in column 0"
+
+
+def test_empty_group_cell_is_a_structured_error(tmp_path, capsys):
+    # without the check the blank-labelled point became the only center, exit 0
+    path = write(tmp_path, "blank.csv", "x,group\n0,a\n5,\n10,a\n")
+    rc = main(["solve", "--input", path, "--caps", "1,1"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "fairkcenter-error/1"
+    assert payload["error"]["kind"] == "CsvFormatError"
+    assert payload["error"]["message"] == "line 3: empty group value in column 1"
 
 
 def test_malformed_caps_are_a_structured_error(tmp_path, capsys):

@@ -150,6 +150,43 @@ def test_a_scan_that_stops_at_index_i_makes_n_minus_i_evaluations():
     assert len(calls) == len(stored)
 
 
+def test_first_within_stopping_at_index_i_makes_n_minus_i_evaluations_newest_first():
+    # Ladder._feed and the certificate add the index a stop leaves unscanned
+    # to RunStats.skipped, so a stop at i must have evaluated stored[i:] only
+    calls = []
+
+    def recorded(a, b):
+        calls.append(b)
+        return abs(a[0] - b[0])
+
+    metric = DistanceMetric.from_callable(recorded, "recorded")
+    stored = [(float(10 * i),) for i in range(6)]
+    for i, q in enumerate(stored):
+        calls.clear()
+        assert metric.first_within(q, stored, 1.0) == i
+        assert calls == stored[i:][::-1]
+    calls.clear()
+    assert metric.first_within((5.0,), stored, 1.0) == -1  # a miss evaluates every member
+    assert calls == stored[::-1]
+
+
+@pytest.mark.parametrize("radius, hit", [(1.0, True), (0.5, False)])
+def test_both_kernels_make_one_evaluation_on_a_one_element_list(radius, hit):
+    # the countdown's last step, at index 0, and nothing before or after it
+    calls = []
+
+    def recorded(a, b):
+        calls.append(b)
+        return abs(a[0] - b[0])
+
+    metric = DistanceMetric.from_callable(recorded, "recorded")
+    assert metric.first_within((1.0,), [(0.0,)], radius) == (0 if hit else -1)
+    assert calls == [(0.0,)]
+    calls.clear()
+    assert metric.nearest(pt(0, 1.0), [(0.0,)], radius) == (1.0, 0)  # a miss still returns the exact nearest
+    assert calls == [(0.0,)]
+
+
 def test_first_within_stops_where_nearest_stops():
     def nan_pair(a, b):
         return math.nan if (a[0], b[0]) == (3.0, 4.0) else sum(abs(x - y) for x, y in zip(a, b))

@@ -210,6 +210,8 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     assert set(summary["relative_change"]) == set(summary["change_better_pairs"]) == set(end_to_end)
     assert set(summary["past_bound"]) <= set(end_to_end)
+    assert summary["attempted"] == {side: pair[side]["attempted"] for side in ("parent", "change")}
+    assert f"attempted parent {pair['parent']['attempted']} change {pair['change']['attempted']}\n" in proc.stdout
     assert f"past bound over 1 pairs: {', '.join(summary['past_bound']) or 'none'}\n" in proc.stdout
     module = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(module)
@@ -219,9 +221,10 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
         {"peak_rss_mb": 56.0, "solve_s": 0.17, "update_us_p99": 1.0, "points_per_s": 700.0, "cost_ratio": 1.5},
     ]
     pair = {"workload": "w", "seed": 1, "trace": 0}
-    for side, values in zip(("parent", "change"), sides):
-        pair[side] = {"metrics": {n: {"value": v} for n, v in values.items()}}
+    for side, values, attempted in zip(("parent", "change"), sides, (180, 220)):
+        pair[side] = {"attempted": attempted, "metrics": {n: {"value": v} for n, v in values.items()}}
     [summary] = bench_pairs.medians([pair], end_to_end)
+    assert summary["attempted"] == {"parent": 180, "change": 220}
     assert summary["relative_change"] == pytest.approx(
         {"peak_rss_mb": 0.12, "solve_s": -0.15, "update_us_p99": None, "points_per_s": -0.3, "cost_ratio": 0.0}
     )

@@ -108,6 +108,24 @@ def test_union_when_group1_fits():
     assert clustering_cost(pts, out.centers) == 0.5
 
 
+def test_the_semi_bound_of_three_is_attained_on_the_union_path():
+    """The paper's ratio 3 is tight at the fixed guess r_opt. Group 1 fits
+    its cap, the union case: at guess 2 (threshold 4), reps1 = {7}, and the
+    group-2 points 5 and 1 lie within 1.5 thresholds of it, so neither is
+    stored and the answer is {7}, 6 = 3 * r_opt from the point 1. (The semi
+    ladder answers this stream at ratio 1, so only the fixed guess is pinned.)"""
+    pts = stream([(7.0, 1), (5.0, 2), (1.0, 2)])
+    spec = FairnessSpec((2, 1))
+    r_opt = brute_force_opt(pts, spec).r_opt
+    assert r_opt == 2.0
+    inst = fed(SemiInstance(r_opt, spec), pts)
+    out = inst.finalize()
+    assert inst.path == "union"
+    assert out.centers.ids() == (0,)
+    assert clustering_cost(pts, out.centers) == 6.0 == 3.0 * r_opt
+    assert run_known(r_opt, pts, spec, mode="semi").centers.ids() == (0,)
+
+
 def test_swap_without_stand_ins_is_infeasible():
     # two far group-1 points over a cap of 1, no group-2 point close enough
     # to stand in: the undersized guess is certified infeasible

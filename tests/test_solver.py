@@ -11,6 +11,7 @@ from fairkcenter import (
     FairnessSpec,
     IndependentSet,
     InfeasibleReason,
+    Ladder,
     Point,
     SemiInstance,
     SolveOutcome,
@@ -132,6 +133,30 @@ def test_one_group_over_underselling_guess_is_infeasible():
     pts = stream([(0.0, 1), (10.0, 1), (20.0, 1), (1000.0, 2)])
     out = run_known(0.5, pts, FairnessSpec((2, 1)))
     assert not out.feasible and out.reason is InfeasibleReason.FAIRNESS_VIOLATED
+
+
+def test_the_general_bound_of_five_is_attained_on_the_one_over_path():
+    """The paper's ratio 5 is tight, here at the fixed guess r_opt and
+    through the ladder. Case 2, one group over its cap: at guess 2
+    (threshold 4), reps1 = {6, 1} is over k1 = 1, and both members lie
+    within three guesses of reps2 = {0}, so the filter drops them both and
+    the answer is the group-2 rep alone, 10 = 5 * r_opt from the point 10."""
+    pts = stream([(6.0, 1), (0.0, 2), (1.0, 1), (10.0, 1), (8.0, 1)])
+    r_opt = brute_force_opt(pts, SPEC_11).r_opt
+    assert r_opt == 2.0
+    inst = StreamInstance(r_opt, SPEC_11)
+    for p in pts:
+        inst.process(p)
+    out = inst.finalize()
+    assert inst.path == "one-over"
+    assert out.centers.ids() == (1,)
+    assert clustering_cost(pts, out.centers) == 10.0 == 5.0 * r_opt
+    ladder = Ladder(SPEC_11, epsilon=0.1)
+    for p in pts:
+        ladder.observe(p)
+    result = ladder.finish()
+    assert result.best_guess == 2.0
+    assert clustering_cost(pts, result.centers) == 10.0
 
 
 # ----------------------------------------------------------------------
