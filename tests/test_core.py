@@ -150,16 +150,21 @@ def test_a_scan_that_stops_at_index_i_makes_n_minus_i_evaluations():
     assert len(calls) == len(stored)
 
 
-def test_first_within_stopping_at_index_i_makes_n_minus_i_evaluations_newest_first():
-    # Ladder._feed and the certificate add the index a stop leaves unscanned
-    # to RunStats.skipped, so a stop at i must have evaluated stored[i:] only
+def recording_metric():
+    """A 1-D metric that appends each stored point it is evaluated on to ``calls``."""
     calls = []
 
     def recorded(a, b):
         calls.append(b)
         return abs(a[0] - b[0])
 
-    metric = DistanceMetric.from_callable(recorded, "recorded")
+    return DistanceMetric.from_callable(recorded, "recorded"), calls
+
+
+def test_first_within_stopping_at_index_i_makes_n_minus_i_evaluations_newest_first():
+    # Ladder._feed and the certificate add the index a stop leaves unscanned
+    # to RunStats.skipped, so a stop at i must have evaluated stored[i:] only
+    metric, calls = recording_metric()
     stored = [(float(10 * i),) for i in range(6)]
     for i, q in enumerate(stored):
         calls.clear()
@@ -173,13 +178,7 @@ def test_first_within_stopping_at_index_i_makes_n_minus_i_evaluations_newest_fir
 @pytest.mark.parametrize("radius, hit", [(1.0, True), (0.5, False)])
 def test_both_kernels_make_one_evaluation_on_a_one_element_list(radius, hit):
     # the countdown's last step, at index 0, and nothing before or after it
-    calls = []
-
-    def recorded(a, b):
-        calls.append(b)
-        return abs(a[0] - b[0])
-
-    metric = DistanceMetric.from_callable(recorded, "recorded")
+    metric, calls = recording_metric()
     assert metric.first_within((1.0,), [(0.0,)], radius) == (0 if hit else -1)
     assert calls == [(0.0,)]
     calls.clear()
