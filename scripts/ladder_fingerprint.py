@@ -22,11 +22,16 @@ result fields (workload, seed, dataset, ``best_guess``, cost and
 ``center_ids``; for an oracle-check instance, ``r_opt`` and the center ids
 or infeasibility reason of the oracle and each solver), so a change that
 should keep every answer while moving counters is checked by one ``cmp``.
-``--n`` and ``--pool`` size the planted datasets only.
+``--inputs`` prints, in place of all that, one line per planted dataset:
+the sha256 of the CSV file the benchmark streams, whose ``repr``
+coordinates and group labels are the generated points exactly, so a change
+to ``generate_planted`` that should keep every point is checked by one
+``cmp`` too. ``--n`` and ``--pool`` size the planted datasets only.
 """
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 import tempfile
@@ -109,7 +114,9 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2], help="benchmark seeds (default: 1 2)")
     parser.add_argument("--n", type=int, help="points per dataset (default: the workload's)")
     parser.add_argument("--pool", type=int, help="datasets per seed (default: the workload's)")
-    parser.add_argument("--results", action="store_true", help="print only the result fields, not the counters")
+    only = parser.add_mutually_exclusive_group()
+    only.add_argument("--results", action="store_true", help="print only the result fields, not the counters")
+    only.add_argument("--inputs", action="store_true", help="print only each planted dataset's digest, and solve nothing")
     args = parser.parse_args()
 
     sys.path.insert(0, str(args.root / "perfbench"))
@@ -124,10 +131,16 @@ def main():
             with tempfile.TemporaryDirectory() as workdir:
                 inputs, _ = workloads.setup_planted(fk, w, seed, Path(workdir))
                 for index, inp in enumerate(inputs):
-                    line = fingerprint(fk, w, seed, index, inp.path)
+                    if args.inputs:
+                        digest = hashlib.sha256(inp.path.read_bytes()).hexdigest()
+                        line = {"workload": w.name, "seed": seed, "dataset": index, "sha256": digest}
+                    else:
+                        line = fingerprint(fk, w, seed, index, inp.path)
                     if args.results:
                         line = {field: line[field] for field in RESULT_FIELDS}
                     print(json.dumps(line), flush=True)
+    if args.inputs:
+        return
     for seed in args.seeds:
         for index, inst in enumerate(workloads.setup_oracle(fk, workloads.WORKLOADS["oracle-check"], seed)):
             line = oracle_fingerprint(fk, seed, index, inst)

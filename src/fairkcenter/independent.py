@@ -79,15 +79,25 @@ class IndependentSet:
         """Cover, store or refuse ``p``. ``clear`` says the caller's own
         counted scan, taken since the set's last change, found ``p`` farther
         than the threshold from every member, so the set neither scans nor
-        tests cover; otherwise ``min_dist`` scans and counts, stopping at the
-        newest member within the threshold, or at it, which covers ``p`` (an
-        empty set covers nothing)."""
+        tests cover; otherwise the set scans as ``min_dist(p, threshold)``
+        does, inline and counted the same way, stopping at the newest member
+        within the threshold, or at it, which covers ``p`` (an empty set
+        covers nothing)."""
         if self.overflowed:
             raise RuntimeError("offer to an overflowed set")
         if self.group_filter is not None and p.group != self.group_filter:
             raise ValueError(f"point {p.id} has group {p.group}, set accepts group {self.group_filter}")
-        if not clear and self.min_dist(p, self.threshold) <= self.threshold:
-            return OfferResult(OfferStatus.COVERED)
+        coords = self.coords
+        if not clear and coords:
+            if len(p.coords) != len(coords[0]):
+                raise ValueError(
+                    f"dimension mismatch: point {p.id} has {len(p.coords)} coords, stored points have {len(coords[0])}"
+                )
+            self.stats.distance_evals += len(coords)
+            idx = self.metric.first_within(p.coords, coords, self.threshold)
+            if idx >= 0:
+                self.stats.evals_skipped += idx
+                return OfferResult(OfferStatus.COVERED)
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
             return OfferResult(OfferStatus.OVERFLOW)

@@ -32,8 +32,9 @@ class OracleResult:
 
 # Subsets scored per numpy pass. At the n=16, k=5 guard one slice peaks
 # near 0.28 MB of float transients (traced with tracemalloc): two
-# (rows, n) float64 radius arrays. The subset table and the cap filter are
-# not sliced and grow with the subset count (see brute_force_opt).
+# (rows, n) float64 radius arrays. The subset table, its member masks and
+# the cap filter are not sliced and grow with the subset count (see
+# brute_force_opt).
 _BLOCK_ROWS = 1024
 
 
@@ -60,9 +61,37 @@ def _build_subset_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-# the tables of shapes within the default guards, built on first use and
-# kept: 70 shapes (n <= 16, k <= min(n, 5)), 1.26 MB at most
+def _build_member_masks(table: np.ndarray, n: int) -> np.ndarray:
+    """Each row of a subset table as a bitmask of its members: bit i of
+    word i // 64 is set when point i is in the row, so one little-endian
+    ``uint64`` word per 64 points, and the sentinel sets no bit. Read-only,
+    like the table. A row costs 8 bytes per word: 0.05 MB at n=16, k=5."""
+    masks = np.zeros((len(table), (n + 63) // 64), dtype="<u8")
+    at = np.arange(len(table))
+    for col in table.T:
+        real = col < n
+        masks[at[real], col[real] // 64] |= np.left_shift(np.uint64(1), (col[real] % 64).astype(np.uint64))
+    masks.flags.writeable = False
+    return masks
+
+
+# the tables and member masks of shapes within the default guards, built
+# on first use and kept: 70 shapes (n <= 16, k <= min(n, 5)), 1.26 MB of
+# tables and 0.28 MB of masks at most
 _subset_table = functools.lru_cache(maxsize=None)(_build_subset_table)
+
+
+@functools.lru_cache(maxsize=None)
+def _member_masks(n: int, k: int) -> np.ndarray:
+    return _build_member_masks(_subset_table(n, k), n)
+
+
+@functools.cache
+def _bit_counts() -> np.ndarray:
+    """Set bits of every 16-bit value, from a 256-entry byte table, built
+    on the first cap filter rather than at import (64 KB)."""
+    byte = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+    return (byte[:, None] + byte[None, :]).ravel()
 
 
 def brute_force_opt(
@@ -78,26 +107,30 @@ def brute_force_opt(
     size then lexicographic ids, and keeps the first subset attaining the
     minimum cost. The subsets come from one read-only table per
     (n, min(k, n)), whose rows are padded to a common width with the
-    sentinel index n. Within the default guards the table is cached
-    (``_subset_table``), and it is all a call leaves behind for the next;
-    a call past them builds its own table and keeps none. Each call
-    appends one +inf row to its distance matrix for the sentinel, so a
-    padded column never lowers a point's radius, and gives the sentinel
-    group label 0, so it never counts against a cap. The rows breaking a cap are dropped once for the whole
-    table, by per-group member counts, into a new array: the cached table
-    is never written. The kept rows are scored in slices of
-    ``_BLOCK_ROWS`` by a running minimum over their distance rows, then one
-    max per row. The float transients stay per slice, but the table, the
-    member labels and the kept rows grow with the subset count: a cold
-    two-group call at the n=16, k=5 guard peaks near 1 MB (tracemalloc),
-    0.28 MB of it the table it keeps. The tie-break is that of a plain
-    loop: the first minimum in (size, lexicographic) order wins, and a
-    later slice must be strictly cheaper to replace it. A NaN or infinite
-    cost never wins; if subsets were scored but every one scores such a
-    cost, the error says so rather than calling the instance infeasible.
-    The distance matrix calls ``metric`` once per pair i <= j and mirrors
-    it, relying on the metric's symmetry. Guarded to small instances; raise
-    the guards explicitly to go bigger.
+    sentinel index n, and the cap filter reads each row's member bitmask
+    (``_build_member_masks``). Within the default guards both are cached
+    (``_subset_table``, ``_member_masks``), and they are all a call leaves
+    behind for the next; a call past them builds its own and keeps none.
+    Each call appends one +inf row to its distance matrix for the
+    sentinel, so a padded column never lowers a point's radius. The rows
+    breaking a cap are dropped once for the whole table: a row's count in
+    group g is the popcount of its mask and the group's member mask, read
+    16 bits at a time from ``_bit_counts``, and the kept rows are copied
+    into a new array: the cached table is never written. The kept rows
+    are scored in slices of ``_BLOCK_ROWS`` by a running minimum over their
+    distance rows, then one max per row. The float transients stay per
+    slice, but the table, the masks, the counts and the kept rows grow
+    with the subset count: a cold two-group call at the n=16, k=5 guard
+    peaks near 0.74 MB (tracemalloc), 0.33 MB of it the table and masks it
+    keeps. The tie-break is that of a plain loop: the first minimum in
+    (size, lexicographic) order wins, and a later slice must be strictly
+    cheaper to replace it. A NaN or infinite cost never wins; if subsets
+    were scored but every one scores such a cost, the error says so rather
+    than calling the instance infeasible. The distance matrix calls
+    ``metric.fn`` once per pair i <= j, one row at a time, and mirrors it,
+    relying on the metric's symmetry; points of another dimension than the
+    first are refused first, with the metric's own error. Guarded to small
+    instances; raise the guards explicitly to go bigger.
     """
     pts = list(points)
     n = len(pts)
@@ -107,24 +140,39 @@ def brute_force_opt(
         raise SizeGuardError(f"n={n} exceeds the exhaustive-search guard ({max_n})")
     if spec.k > max_k:
         raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard ({max_k})")
+    coords = [p.coords for p in pts]
+    for p in pts:
+        if len(p.coords) != len(coords[0]):
+            metric(pts[0], p)  # raises the dimension mismatch
     # row n is the sentinel's: infinitely far from every point
     dists = np.empty((n + 1, n))
     dists[n] = math.inf
-    for i, p in enumerate(pts):
-        for j in range(i, n):
-            dists[i, j] = dists[j, i] = metric(p, pts[j])
+    fn = metric.fn
+    for i, a in enumerate(coords):
+        row = [fn(a, b) for b in coords[i:]]
+        dists[i, i:] = row
+        dists[i:n, i] = row
     for p in pts:
         if p.group > spec.m:
             raise ValueError(f"point {p.id} has group {p.group} but only {spec.m} caps were given")
     k = min(spec.k, n)
-    rows = _subset_table(n, k) if n <= _GUARD_N and k <= _GUARD_K else _build_subset_table(n, k)
+    cached = n <= _GUARD_N and k <= _GUARD_K
+    rows = _subset_table(n, k) if cached else _build_subset_table(n, k)
     tight = [(g, cap) for g, cap in enumerate(spec.caps, start=1) if cap < k]
     if tight:
-        members = np.array([p.group for p in pts] + [0])[rows]
+        masks = _member_masks(n, k) if cached else _build_member_masks(rows, n)
+        bit_counts = _bit_counts()
         feasible = np.ones(len(rows), dtype=bool)
         for g, cap in tight:
-            feasible &= (members == g).sum(axis=1) <= cap
-        rows = rows[feasible]
+            group_bits = sum(1 << i for i, p in enumerate(pts) if p.group == g)
+            words = [(group_bits >> (64 * w)) & (2**64 - 1) for w in range(masks.shape[1])]
+            # 16-bit chunk c holds the bits of points 16c .. 16c + 15
+            chunks = (masks & np.array(words, dtype="<u8")).view("<u2")
+            counts = bit_counts.take(chunks[:, 0])
+            for c in range(1, (n + 15) // 16):
+                counts += bit_counts.take(chunks[:, c])
+            feasible &= counts <= cap
+        rows = rows.compress(feasible, axis=0)
     best_cost = math.inf
     best_at = -1
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -175,6 +223,11 @@ def gonzalez(points: Sequence[Point], k: int, metric: DistanceMetric = EUCLIDEAN
         raise ValueError("empty dataset")
     chosen, _ = farthest_first(lambda i: [metric(p, pts[i]) for p in pts], k)
     return CenterSet(tuple(pts[i] for i in chosen))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a real vector, by its own arithmetic, without its checks."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -237,40 +290,40 @@ def generate_planted(
                 f"could not place {k} anchors at pairwise separation {gap} within {budget} attempts"
             )
         cand = rng.uniform(0.0, side, size=dim)
-        if all(float(np.linalg.norm(cand - a)) >= gap for a in anchors):
+        if all(_norm(cand - a) >= gap for a in anchors):
             anchors.append(cand)
 
     anchor_groups = [g for g, cap in enumerate(spec.caps, start=1) for _ in range(cap)]
     rng.shuffle(anchor_groups)
 
-    def unit_direction() -> np.ndarray:
+    def offset(radius: float) -> list[float]:
+        """A uniform direction scaled to ``radius``, as Python floats: the
+        IEEE operations numpy would apply element by element, in its order."""
         while True:
             v = rng.standard_normal(dim)
-            norm = float(np.linalg.norm(v))
+            norm = _norm(v)
             if norm > 1e-12:
-                return v / norm
+                return [c / norm * radius for c in v.tolist()]
 
-    records: list[tuple[tuple[float, ...], int, bool]] = [
-        (tuple(float(c) for c in anchors[j]), anchor_groups[j], True) for j in range(k)
-    ]
+    centers = [tuple(a.tolist()) for a in anchors]
+    records: list[tuple[tuple[float, ...], int, bool]] = [(centers[j], anchor_groups[j], True) for j in range(k)]
     extra = n - k
     pairs = min(extra // 2, k)
     for j in range(pairs):
-        u = unit_direction() * planted_r
-        records.append((tuple(float(c) for c in anchors[j] + u), anchor_groups[j], False))
-        records.append((tuple(float(c) for c in anchors[j] - u), anchor_groups[j], False))
+        u = offset(planted_r)
+        records.append((tuple(a + c for a, c in zip(centers[j], u)), anchor_groups[j], False))
+        records.append((tuple(a - c for a, c in zip(centers[j], u)), anchor_groups[j], False))
     if extra - 2 * pairs > 0 and pairs < k:
         # odd leftover while some cluster still lacks its pair: give it one
         # boundary point at least
-        u = unit_direction() * planted_r
-        records.append((tuple(float(c) for c in anchors[pairs] + u), anchor_groups[pairs], False))
+        u = offset(planted_r)
+        records.append((tuple(a + c for a, c in zip(centers[pairs], u)), anchor_groups[pairs], False))
     while len(records) < n:
         j = int(rng.integers(0, k))
-        radius = planted_r * float(rng.uniform()) ** (1.0 / dim)
-        u = unit_direction() * radius
-        records.append((tuple(float(c) for c in anchors[j] + u), anchor_groups[j], False))
+        u = offset(planted_r * float(rng.uniform()) ** (1.0 / dim))
+        records.append((tuple(a + c for a, c in zip(centers[j], u)), anchor_groups[j], False))
 
-    order = rng.permutation(n) if shuffle else np.arange(n)
-    pts = [Point(i, records[order[i]][0], records[order[i]][1]) for i in range(n)]
-    planted = [pts[i] for i in range(n) if records[order[i]][2]]
+    order = rng.permutation(n).tolist() if shuffle else range(n)
+    pts = [Point(i, *records[at][:2]) for i, at in enumerate(order)]
+    planted = [p for p, at in zip(pts, order) if records[at][2]]
     return PlantedDataset(tuple(pts), float(planted_r), CenterSet(tuple(planted)), seed)

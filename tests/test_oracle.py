@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -17,7 +18,7 @@ from fairkcenter import (
     generate_planted,
     gonzalez,
 )
-from fairkcenter.oracle import _subset_table, candidate_radii
+from fairkcenter.oracle import _member_masks, _subset_table, candidate_radii
 
 from conftest import pt, random_two_group_instance, stream
 
@@ -321,6 +322,51 @@ def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
 
 
 # ----------------------------------------------------------------------
+# the member-bitmask cap filter
+# ----------------------------------------------------------------------
+def test_member_masks_set_one_bit_per_member_and_are_read_only():
+    table, masks = _subset_table(6, 3), _member_masks(6, 3)
+    assert masks.shape == (len(table), 1)
+    assert [int(word) for word in masks[:, 0]] == [sum(1 << int(i) for i in row if i < 6) for row in table]
+    with pytest.raises(ValueError, match="read-only"):
+        masks[0, 0] = 1
+    assert _member_masks(6, 3) is masks
+
+
+def test_three_groups_with_zero_and_tight_caps_match_the_subset_loop():
+    # n=16 at the guard: the filter reads one 16-bit chunk, and every cap
+    # below k, zero included, drops rows
+    rng = np.random.default_rng(1616)
+    coords = [tuple(float(c) for c in rng.integers(0, 12, size=2)) for _ in range(16)]
+    for caps in ((0, 2, 3), (2, 0, 1), (1, 1, 1), (3, 1, 0), (0, 0, 4)):
+        labels = [int(g) for g in rng.integers(1, 4, size=16)]
+        points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
+        assert assert_same_as_reference(points, FairnessSpec(caps))[0] == "ok"
+
+
+def test_a_lifted_guard_past_64_points_matches_the_subset_loop():
+    # 70 points: the masks take two 64-bit words, and the filter reads the
+    # chunks of points 64..69 from the second
+    rng = np.random.default_rng(7070)
+    points = [Point(i, (float(rng.integers(0, 200)),), int(rng.integers(1, 3))) for i in range(70)]
+    assert assert_same_as_reference(points, FairnessSpec((1, 1)), max_n=70)[0] == "ok"
+    # a group whose only members lie past the first word, and whose cap the
+    # optimum spends there
+    points = [Point(i, (float(i),), 2 if i >= 66 else 1) for i in range(70)]
+    expected = assert_same_as_reference(points, FairnessSpec((1, 1)), max_n=70)
+    assert expected[0] == "ok" and max(expected[2]) >= 66
+
+
+def test_a_lifted_guard_call_leaves_the_mask_cache_as_it_was():
+    rng = np.random.default_rng(71)
+    pts = [Point(i, (float(rng.integers(0, 90)),), int(rng.integers(1, 3))) for i in range(70)]
+    before = _member_masks.cache_info().currsize
+    brute_force_opt(pts, FairnessSpec((1, 1)), max_n=70)
+    brute_force_opt(pts[:8], FairnessSpec((3, 3)), max_k=6)
+    assert _member_masks.cache_info().currsize == before
+
+
+# ----------------------------------------------------------------------
 # candidate radii
 # ----------------------------------------------------------------------
 def test_candidate_radii_distances_and_halves():
@@ -456,3 +502,38 @@ def test_planted_validation():
         generate_planted(spec, 20, 1.0, separation=3.0)
     with pytest.raises(GenerationError):
         generate_planted(spec, 20, 1.0, max_attempts=2)
+
+
+# sha256 over every point (id, coordinates as float hex, group) and the
+# planted centers' ids, captured before the generator's per-point offsets
+# moved from numpy arrays to Python floats: each seed must keep yielding
+# the same points bit for bit
+PINNED_PLANTED_DIGESTS = [
+    # the benchmark's planted datasets 0 and 1 of seed 1 (its dataset_seed)
+    (((25, 25), 4000, 1.0, {"seed": int(np.random.SeedSequence((1, 0)).generate_state(1)[0])}),
+     "2ce731b96ad4188c83c0f34da5e7e853f759a04d67af3c7f67838f439951026a"),
+    (((25, 25), 4000, 1.0, {"seed": int(np.random.SeedSequence((1, 1)).generate_state(1)[0])}),
+     "ec50ff4aa0753f11fbcc970c2cceeeccf37de63801ad87d6ecf04d4f58bc274d"),
+    (((2, 3), 60, 1.0, {"dim": 1, "seed": 7}), "691914e0d5f1f0cc5c7cb26a7c79c7b4d2122780e9918fc4db899ed1378f8af2"),
+    (((2, 3), 60, 2.5, {"dim": 3, "separation": 6.0, "seed": 8}),
+     "d57c5803cc6e7c6fb2a7d7f335c5711e44870ec8fa592043efafbd3304964160"),
+    (((3, 1), 50, 0.75, {"dim": 8, "seed": 9}), "89ebc0acc27624823cd61db69b9f8b9b96f805c8b91dfa89562125053dbd16a7"),
+    # n = k: the anchors alone
+    (((1, 2), 3, 1.0, {"seed": 5}), "354bfa87ec349753acd01394434ee8dafd9f6131de07020f79557cfa74eb6ad7"),
+    # an odd leftover while pairs < k
+    (((2, 2), 7, 1.0, {"seed": 0}), "0d4403032f0c666971090a1ab2ea60cb22c93c5aa5b76be23d7e02dcbf427e78"),
+    (((2, 2), 40, 1.5, {"seed": 11, "shuffle": False}), "021ccfb9d3f675b67f316ddadd0a2c0068bac7009cae1780f37f6d773b1b6a13"),
+    # a zero cap
+    (((0, 3), 30, 1.0, {"seed": 12}), "429a12850cc9dc5314b99b30e003de15c4d01245650f0b5ce41016e31d8792ed"),
+]
+
+
+@pytest.mark.parametrize("args, digest", PINNED_PLANTED_DIGESTS, ids=lambda v: None if isinstance(v, tuple) else v[:8])
+def test_planted_points_match_their_pinned_digest(args, digest):
+    caps, n, planted_r, kwargs = args
+    planted = generate_planted(FairnessSpec(caps), n, planted_r, **kwargs)
+    h = hashlib.sha256()
+    for p in planted.points:
+        h.update(f"{p.id} {' '.join(c.hex() for c in p.coords)} {p.group}\n".encode())
+    h.update(" ".join(map(str, planted.planted_centers.ids())).encode())
+    assert h.hexdigest() == digest

@@ -95,6 +95,27 @@ def test_ladder_fingerprint_results_keep_only_the_result_fields():
     assert results.stdout == "".join(json.dumps(line) + "\n" for line in expected)
 
 
+def test_ladder_fingerprint_inputs_print_one_digest_per_planted_dataset():
+    argv = [
+        sys.executable, str(SCRIPTS / "ladder_fingerprint.py"),
+        "--n", "300", "--pool", "2", "--seeds", "1", "2", "--inputs",
+    ]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert [(line["workload"], line["seed"], line["dataset"]) for line in lines] == [
+        (workload, seed, dataset)
+        for workload in ("planted-general", "planted-semi")
+        for seed in (1, 2)
+        for dataset in (0, 1)
+    ]
+    assert all(set(line) == {"workload", "seed", "dataset", "sha256"} for line in lines)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line["sha256"]) for line in lines)
+    assert len({line["sha256"] for line in lines}) == len(lines)
+    assert runs[1].stdout == runs[0].stdout
+
+
 def test_resource_audit_prints_the_performed_count_beside_the_logical_one():
     argv = [sys.executable, str(SCRIPTS / "resource_audit.py"), "--n", "300", "--k", "6"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
