@@ -107,6 +107,18 @@ def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
     return summary
 
 
+def pair_line(records: dict) -> str:
+    """Both sides' ``solve_s``, ``peak_rss_mb`` and ``attempted``. A traced
+    run measures no end-to-end metric, so its line has only ``attempted``."""
+    read = [
+        (n, f, [records[side]["metrics"][n]["value"] for side in SIDES])
+        for n, f in (("solve_s", ".4f"), ("peak_rss_mb", ".2f"))
+        if all(n in records[side]["metrics"] for side in SIDES)
+    ]
+    read.append(("attempted", "d", [records[side]["attempted"] for side in SIDES]))
+    return ", ".join(f"{n} parent {p:{f}} change {c:{f}}" for n, f, (p, c) in read)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent source tree")
@@ -143,13 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         collection["medians"] = medians(collection["pairs"], end_to_end)
         out.write_text(json.dumps(collection, indent=1) + "\n")
-        read = [
-            (n, f, [records[side]["metrics"][n]["value"] for side in SIDES])
-            for n, f in (("solve_s", ".4f"), ("peak_rss_mb", ".2f"))
-        ]
-        read.append(("attempted", "d", [records[side]["attempted"] for side in SIDES]))
-        line = ", ".join(f"{n} parent {p:{f}} change {c:{f}}" for n, f, (p, c) in read)
-        print(f"pair {done + 1}: {line}", flush=True)
+        print(f"pair {done + 1}: {pair_line(records)}", flush=True)
     [entry] = [e for e in collection["medians"] if (e["workload"], e["seed"], e["trace"]) == key]
     print(f"past bound over {entry['pairs']} pairs: {', '.join(entry['past_bound']) or 'none'}")
     print(f"wrote {out}")

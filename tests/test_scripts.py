@@ -251,6 +251,12 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
     )
     assert summary["past_bound"] == ["peak_rss_mb", "update_us_p99", "points_per_s"]
     assert summary["change_better_pairs"] == {n: n == "solve_s" for n in sides[0]}
+    # a traced run measures no end-to-end metric: its pair line has only the counts
+    traced = {
+        side: {"attempted": n, "metrics": {"oracle.brute_force_s": {"value": 0.1}}}
+        for side, n in (("parent", 7), ("change", 9))
+    }
+    assert bench_pairs.pair_line(traced) == "attempted parent 7 change 9"
 
 
 def test_readme_states_the_src_line_count_and_the_export_count():
