@@ -15,13 +15,15 @@ exists for the same parent is extended, so several workloads and seeds go
 into one file. ``medians`` holds, per (workload, seed, trace), each side's
 median and quartiles of every end-to-end metric, each side's median
 ``attempted`` (the operations its runs made: ``peak_rss_mb`` grows with the
-solves that fit in the window), the number of pairs in
+solves that fit in the window) and median ``host_speed`` (the record's
+``raw.host_speed``: a pair whose sides read far apart ran in different
+phases of the host's load), the number of pairs in
 which the change read better (by ``better`` in the change tree's
 ``BENCHMARK.json``; ties count for neither side), each end-to-end metric's
 relative change of medians, and ``past_bound``: the metrics whose change
 is worse than their ``bound`` there. Each pair's line prints both sides'
-``solve_s``, ``peak_rss_mb`` and ``attempted``; the names in ``past_bound``
-are printed after the last pair.
+``solve_s``, ``peak_rss_mb``, ``attempted`` and ``host_speed``; the names
+in ``past_bound`` are printed after the last pair.
 """
 
 from __future__ import annotations
@@ -74,9 +76,9 @@ def relative_change(parent: float, change: float) -> float | None:
 
 def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
     """Per (workload, seed, trace): each side's median and quartiles of every
-    metric and its median ``attempted``, how many pairs the change won on
-    each end-to-end metric, the relative change of its medians and the
-    metrics past their bound."""
+    metric and its median ``attempted`` and ``host_speed``, how many pairs
+    the change won on each end-to-end metric, the relative change of its
+    medians and the metrics past their bound."""
     groups: dict[tuple, list[dict]] = {}
     for pair in pairs:
         groups.setdefault((pair["workload"], pair["seed"], pair["trace"]), []).append(pair)
@@ -89,6 +91,7 @@ def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
             entry[side] = {n: statistics.median(v) for n, v in values.items()}
             entry[f"{side}_quartiles"] = {n: quartiles(v) for n, v in values.items()}
         entry["attempted"] = {side: statistics.median(p[side]["attempted"] for p in group) for side in SIDES}
+        entry["host_speed"] = {side: statistics.median(p[side]["raw"]["host_speed"] for p in group) for side in SIDES}
         wins, rel, past = {}, {}, []
         for n in names:
             if n in end_to_end:
@@ -108,14 +111,16 @@ def medians(pairs: list[dict], end_to_end: dict[str, dict]) -> list[dict]:
 
 
 def pair_line(records: dict) -> str:
-    """Both sides' ``solve_s``, ``peak_rss_mb`` and ``attempted``. A traced
-    run measures no end-to-end metric, so its line has only ``attempted``."""
+    """Both sides' ``solve_s``, ``peak_rss_mb``, ``attempted`` and
+    ``host_speed``. A traced run measures no end-to-end metric, so its line
+    has only the last two."""
     read = [
         (n, f, [records[side]["metrics"][n]["value"] for side in SIDES])
         for n, f in (("solve_s", ".4f"), ("peak_rss_mb", ".2f"))
         if all(n in records[side]["metrics"] for side in SIDES)
     ]
     read.append(("attempted", "d", [records[side]["attempted"] for side in SIDES]))
+    read.append(("host_speed", ".2f", [records[side]["raw"]["host_speed"] for side in SIDES]))
     return ", ".join(f"{n} parent {p:{f}} change {c:{f}}" for n, f, (p, c) in read)
 
 

@@ -27,6 +27,12 @@ class OfferResult(NamedTuple):
     status: OfferStatus
 
 
+# what every offer returns: one shared result per status
+_ADDED = OfferResult(OfferStatus.ADDED)
+_COVERED = OfferResult(OfferStatus.COVERED)
+_OVERFLOW = OfferResult(OfferStatus.OVERFLOW)
+
+
 class IndependentSet:
     """Stored points pairwise farther than ``threshold`` apart; offers are
     either stored, covered by the nearest stored point, or refused when a cap
@@ -97,10 +103,10 @@ class IndependentSet:
             idx = self.metric.first_within(p.coords, coords, self.threshold)
             if idx >= 0:
                 self.stats.evals_skipped += idx
-                return OfferResult(OfferStatus.COVERED)
+                return _COVERED
         if self.cap is not None and len(self.members) >= self.cap:
             self.overflowed = True
-            return OfferResult(OfferStatus.OVERFLOW)
+            return _OVERFLOW
         self.coords.append(p.coords)
         self.members.append(p)
-        return OfferResult(OfferStatus.ADDED)
+        return _ADDED

@@ -32,9 +32,9 @@ class OracleResult:
 
 # Subsets scored per numpy pass. At the n=16, k=5 guard one slice peaks
 # near 0.28 MB of float transients (traced with tracemalloc): two
-# (rows, n) float64 radius arrays. The subset table, its member masks and
-# the cap filter are not sliced and grow with the subset count (see
-# brute_force_opt).
+# (rows, n) float64 radius arrays, the running minimum and one gathered
+# column. The subset table, its member masks and the cap filter are not
+# sliced and grow with the subset count (see brute_force_opt).
 _BLOCK_ROWS = 1024
 
 
@@ -86,6 +86,28 @@ def _member_masks(n: int, k: int) -> np.ndarray:
     return _build_member_masks(_subset_table(n, k), n)
 
 
+def _build_row_sizes(n: int, k: int) -> np.ndarray:
+    """The member count of each row of the (n, k) subset table, read-only:
+    comb(n, size) rows of each size, in the table's order, one byte each
+    like the popcounts it is compared with."""
+    sizes = np.repeat(np.arange(1, k + 1, dtype=np.uint8), [math.comb(n, size) for size in range(1, k + 1)])
+    sizes.flags.writeable = False
+    return sizes
+
+
+def _build_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n)``, read-only: the pairs i <= j in row order."""
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+# like the tables, cached only within the default guards: 35 KB of row
+# sizes over the 70 shapes and 13 KB of triangle indices over n <= 16
+_row_sizes = functools.lru_cache(maxsize=None)(_build_row_sizes)
+_triangle = functools.lru_cache(maxsize=None)(_build_triangle)
+
+
 @functools.cache
 def _bit_counts() -> np.ndarray:
     """Set bits of every 16-bit value, from a 256-entry byte table, built
@@ -108,26 +130,32 @@ def brute_force_opt(
     minimum cost. The subsets come from one read-only table per
     (n, min(k, n)), whose rows are padded to a common width with the
     sentinel index n, and the cap filter reads each row's member bitmask
-    (``_build_member_masks``). Within the default guards both are cached
-    (``_subset_table``, ``_member_masks``), and they are all a call leaves
-    behind for the next; a call past them builds its own and keeps none.
-    Each call appends one +inf row to its distance matrix for the
-    sentinel, so a padded column never lowers a point's radius. The rows
-    breaking a cap are dropped once for the whole table: a row's count in
-    group g is the popcount of its mask and the group's member mask, read
-    16 bits at a time from ``_bit_counts``, and the kept rows are copied
-    into a new array: the cached table is never written. The kept rows
-    are scored in slices of ``_BLOCK_ROWS`` by a running minimum over their
-    distance rows, then one max per row. The float transients stay per
-    slice, but the table, the masks, the counts and the kept rows grow
-    with the subset count: a cold two-group call at the n=16, k=5 guard
-    peaks near 0.74 MB (tracemalloc), 0.33 MB of it the table and masks it
-    keeps. The tie-break is that of a plain loop: the first minimum in
-    (size, lexicographic) order wins, and a later slice must be strictly
-    cheaper to replace it. A NaN or infinite cost never wins; if subsets
-    were scored but every one scores such a cost, the error says so rather
-    than calling the instance infeasible. The distance matrix calls
-    ``metric.fn`` once per pair i <= j, one row at a time, and mirrors it,
+    (``_build_member_masks``) and member count (``_build_row_sizes``).
+    Within the default guards these are cached (``_subset_table``,
+    ``_member_masks``, ``_row_sizes``, and ``_triangle`` per n), and they
+    are all a call leaves behind for the next; a call past them builds its
+    own and keeps none. Each call appends one +inf row to its distance
+    matrix for the sentinel, so a padded column never lowers a point's
+    radius. The rows breaking a cap are dropped once for the whole table:
+    a row's count in group g is the popcount of its mask and the group's
+    member mask, read 16 bits at a time from ``_bit_counts``, except that
+    when every group is tight the last group's count is the row's size
+    less the others' (every point is in some group), so two groups take
+    one popcount pass. The kept rows are copied into a new array: the
+    cached table is never written. They are scored in slices of
+    ``_BLOCK_ROWS`` by a running minimum over their distance rows,
+    gathered with ``take``, then one max per row. The float transients
+    stay per slice, but the table, the masks, the counts and the kept rows
+    grow with the subset count: a cold two-group call at the n=16, k=5
+    guard peaks near 0.77 MB (tracemalloc), 0.34 MB of it the table, masks
+    and row sizes it keeps, and a warm one near 0.42 MB. The tie-break is
+    that of a plain loop: the first minimum in (size, lexicographic) order
+    wins, and a later slice must be strictly cheaper to replace it. A NaN
+    or infinite cost never wins; if subsets were scored but every one
+    scores such a cost, the error says so rather than calling the instance
+    infeasible. The distance matrix calls ``metric.fn`` once per pair
+    i <= j, one row at a time, into one flat list of the upper triangle,
+    written and mirrored by two assignments through the triangle's indices,
     relying on the metric's symmetry; points of another dimension than the
     first are refused first, with the metric's own error. Guarded to small
     instances; raise the guards explicitly to go bigger.
@@ -141,28 +169,37 @@ def brute_force_opt(
     if spec.k > max_k:
         raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard ({max_k})")
     coords = [p.coords for p in pts]
+    dim = len(coords[0])
     for p in pts:
-        if len(p.coords) != len(coords[0]):
+        if len(p.coords) != dim:
             metric(pts[0], p)  # raises the dimension mismatch
+    fn = metric.fn
+    upper = []
+    for i, a in enumerate(coords):
+        upper += [fn(a, b) for b in coords[i:]]
+    m = spec.m
+    for p in pts:
+        if p.group > m:
+            raise ValueError(f"point {p.id} has group {p.group} but only {m} caps were given")
+    k = min(spec.k, n)
+    cached = n <= _GUARD_N and k <= _GUARD_K
     # row n is the sentinel's: infinitely far from every point
     dists = np.empty((n + 1, n))
     dists[n] = math.inf
-    fn = metric.fn
-    for i, a in enumerate(coords):
-        row = [fn(a, b) for b in coords[i:]]
-        dists[i, i:] = row
-        dists[i:n, i] = row
-    for p in pts:
-        if p.group > spec.m:
-            raise ValueError(f"point {p.id} has group {p.group} but only {spec.m} caps were given")
-    k = min(spec.k, n)
-    cached = n <= _GUARD_N and k <= _GUARD_K
+    above, beside = _triangle(n) if cached else _build_triangle(n)
+    upper = np.array(upper, dtype=float)
+    dists[above, beside] = upper
+    dists[beside, above] = upper
     rows = _subset_table(n, k) if cached else _build_subset_table(n, k)
     tight = [(g, cap) for g, cap in enumerate(spec.caps, start=1) if cap < k]
     if tight:
         masks = _member_masks(n, k) if cached else _build_member_masks(rows, n)
         bit_counts = _bit_counts()
-        feasible = np.ones(len(rows), dtype=bool)
+        # with every group tight each point is in one of them, so the last
+        # group's count is the row's size less the others' (a lone group's
+        # cap is k, never tight, so some other group is counted)
+        last = tight.pop() if len(tight) == m else None
+        feasible = others = None
         for g, cap in tight:
             group_bits = sum(1 << i for i, p in enumerate(pts) if p.group == g)
             words = [(group_bits >> (64 * w)) & (2**64 - 1) for w in range(masks.shape[1])]
@@ -171,16 +208,23 @@ def brute_force_opt(
             counts = bit_counts.take(chunks[:, 0])
             for c in range(1, (n + 15) // 16):
                 counts += bit_counts.take(chunks[:, c])
-            feasible &= counts <= cap
+            if feasible is None:
+                feasible, others = counts <= cap, counts
+            else:
+                feasible &= counts <= cap
+                others = others + counts
+        if last is not None:
+            sizes = _row_sizes(n, k) if cached else _build_row_sizes(n, k)
+            feasible &= sizes - others <= last[1]
         rows = rows.compress(feasible, axis=0)
     best_cost = math.inf
     best_at = -1
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start : start + _BLOCK_ROWS]
         # dists is symmetric, so row c holds every point's distance to c
-        radius = dists[block[:, 0]]
+        radius = dists.take(block[:, 0], axis=0)
         for col in range(1, k):
-            np.minimum(radius, dists[block[:, col]], out=radius)
+            np.minimum(radius, dists.take(block[:, col], axis=0), out=radius)
         costs = radius.max(axis=1)
         costs[np.isnan(costs)] = math.inf
         at = int(costs.argmin())
@@ -194,7 +238,7 @@ def brute_force_opt(
                 "(the distances overflow the float range or are NaN)"
             )
         raise ValueError("no cap-feasible center set exists for this dataset")
-    witness = CenterSet(tuple(pts[i] for i in rows[best_at] if i < n))
+    witness = CenterSet(tuple(pts[i] for i in rows[best_at].tolist() if i < n))
     return OracleResult(best_cost, witness, len(rows))
 
 

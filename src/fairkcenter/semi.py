@@ -58,7 +58,7 @@ class SemiInstance(SolverInstance):
 
     def _process_group2(self, point: Point, clear: bool) -> None:
         lam = self.threshold
-        group1_fits = len(self.reps1) <= self.spec.caps[0]
+        group1_fits = len(self.reps1.members) <= self.spec.caps[0]
         if not self.group2_started:
             # reps1 is frozen from here on, and with it group1_fits. While group
             # 1 fits, no stand-in arises, and a point within one threshold of

@@ -127,7 +127,8 @@ class SolverInstance:
                 f"dimension mismatch: point {point.id} has {len(point.coords)} coords, stored points have {dim}"
             )
         stats = self.stats
-        limit = stats.distance_evals + len(self.reps1) + len(self.reps2)
+        # the member lists themselves: no __len__ frame per point
+        limit = stats.distance_evals + len(self.reps1.members) + len(self.reps2.members)
         if clear:
             for coords, _ in self.gates[point.group]:  # a loop: sum() of a generator is slower
                 limit -= len(coords)

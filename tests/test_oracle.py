@@ -18,7 +18,7 @@ from fairkcenter import (
     generate_planted,
     gonzalez,
 )
-from fairkcenter.oracle import _member_masks, _subset_table, candidate_radii
+from fairkcenter.oracle import _member_masks, _row_sizes, _subset_table, _triangle, candidate_radii
 
 from conftest import pt, random_two_group_instance, stream
 
@@ -286,6 +286,15 @@ def test_subset_table_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1
     assert _subset_table(6, 2) is table
+    # the row sizes and triangle indices every call of a shape shares
+    sizes = _row_sizes(6, 2)
+    assert sizes.tolist() == [int((row < 6).sum()) for row in table]
+    rows, cols = _triangle(6)
+    assert [rows.tolist(), cols.tolist()] == [a.tolist() for a in np.triu_indices(6)]
+    for cached in (sizes, rows, cols):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1
+    assert _row_sizes(6, 2) is sizes and _triangle(6)[0] is rows
 
 
 def test_a_lifted_guard_call_leaves_the_subset_table_cache_as_it_was():
@@ -293,10 +302,11 @@ def test_a_lifted_guard_call_leaves_the_subset_table_cache_as_it_was():
     # call past either builds its own table and keeps none
     rng = np.random.default_rng(31)
     pts = [Point(i, (float(rng.integers(0, 30)),), int(rng.integers(1, 3))) for i in range(17)]
-    before = _subset_table.cache_info().currsize
+    caches = (_subset_table, _row_sizes, _triangle)
+    before = [cache.cache_info().currsize for cache in caches]
     assert assert_same_as_reference(pts, FairnessSpec((1, 1)), max_n=17)[0] == "ok"
     assert assert_same_as_reference(pts[:8], FairnessSpec((3, 3)), max_k=6)[0] == "ok"
-    assert _subset_table.cache_info().currsize == before
+    assert [cache.cache_info().currsize for cache in caches] == before
 
 
 def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
@@ -342,6 +352,14 @@ def test_three_groups_with_zero_and_tight_caps_match_the_subset_loop():
         labels = [int(g) for g in rng.integers(1, 4, size=16)]
         points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
         assert assert_same_as_reference(points, FairnessSpec(caps))[0] == "ok"
+    # every group tight, so the last group's count is the row size less the
+    # others': three groups (1, 2, 2) at k=5, and two groups (2, 3). With a
+    # zero cap in two groups the other cap is k, not tight, so the last
+    # count must be read, not derived
+    for caps in ((1, 2, 2), (2, 3), (0, 5), (4, 0)):
+        labels = [int(g) for g in rng.integers(1, len(caps) + 1, size=16)]
+        points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
+        assert assert_same_as_reference(points, FairnessSpec(caps))[0] == "ok"
 
 
 def test_a_lifted_guard_past_64_points_matches_the_subset_loop():
@@ -360,10 +378,11 @@ def test_a_lifted_guard_past_64_points_matches_the_subset_loop():
 def test_a_lifted_guard_call_leaves_the_mask_cache_as_it_was():
     rng = np.random.default_rng(71)
     pts = [Point(i, (float(rng.integers(0, 90)),), int(rng.integers(1, 3))) for i in range(70)]
-    before = _member_masks.cache_info().currsize
+    caches = (_member_masks, _row_sizes, _triangle)
+    before = [cache.cache_info().currsize for cache in caches]
     brute_force_opt(pts, FairnessSpec((1, 1)), max_n=70)
     brute_force_opt(pts[:8], FairnessSpec((3, 3)), max_k=6)
-    assert _member_masks.cache_info().currsize == before
+    assert [cache.cache_info().currsize for cache in caches] == before
 
 
 # ----------------------------------------------------------------------

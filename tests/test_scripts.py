@@ -232,7 +232,12 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
     assert set(summary["relative_change"]) == set(summary["change_better_pairs"]) == set(end_to_end)
     assert set(summary["past_bound"]) <= set(end_to_end)
     assert summary["attempted"] == {side: pair[side]["attempted"] for side in ("parent", "change")}
-    assert f"attempted parent {pair['parent']['attempted']} change {pair['change']['attempted']}\n" in proc.stdout
+    speeds = {side: pair[side]["raw"]["host_speed"] for side in ("parent", "change")}
+    assert summary["host_speed"] == speeds
+    assert (
+        f"attempted parent {pair['parent']['attempted']} change {pair['change']['attempted']}, "
+        f"host_speed parent {speeds['parent']:.2f} change {speeds['change']:.2f}\n"
+    ) in proc.stdout
     assert f"past bound over 1 pairs: {', '.join(summary['past_bound']) or 'none'}\n" in proc.stdout
     module = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(module)
@@ -242,21 +247,26 @@ def test_bench_pairs_collects_one_pair_of_records_and_their_medians(tmp_path):
         {"peak_rss_mb": 56.0, "solve_s": 0.17, "update_us_p99": 1.0, "points_per_s": 700.0, "cost_ratio": 1.5},
     ]
     pair = {"workload": "w", "seed": 1, "trace": 0}
-    for side, values, attempted in zip(("parent", "change"), sides, (180, 220)):
-        pair[side] = {"attempted": attempted, "metrics": {n: {"value": v} for n, v in values.items()}}
+    for side, values, attempted, speed in zip(("parent", "change"), sides, (180, 220), (0.9, 0.6)):
+        pair[side] = {
+            "attempted": attempted, "raw": {"host_speed": speed},
+            "metrics": {n: {"value": v} for n, v in values.items()},
+        }
     [summary] = bench_pairs.medians([pair], end_to_end)
     assert summary["attempted"] == {"parent": 180, "change": 220}
+    assert summary["host_speed"] == {"parent": 0.9, "change": 0.6}
     assert summary["relative_change"] == pytest.approx(
         {"peak_rss_mb": 0.12, "solve_s": -0.15, "update_us_p99": None, "points_per_s": -0.3, "cost_ratio": 0.0}
     )
     assert summary["past_bound"] == ["peak_rss_mb", "update_us_p99", "points_per_s"]
     assert summary["change_better_pairs"] == {n: n == "solve_s" for n in sides[0]}
-    # a traced run measures no end-to-end metric: its pair line has only the counts
+    # a traced run measures no end-to-end metric: its pair line has only the
+    # counts and the host speeds
     traced = {
-        side: {"attempted": n, "metrics": {"oracle.brute_force_s": {"value": 0.1}}}
-        for side, n in (("parent", 7), ("change", 9))
+        side: {"attempted": n, "raw": {"host_speed": speed}, "metrics": {"oracle.brute_force_s": {"value": 0.1}}}
+        for side, n, speed in (("parent", 7, 0.812), ("change", 9, 0.5))
     }
-    assert bench_pairs.pair_line(traced) == "attempted parent 7 change 9"
+    assert bench_pairs.pair_line(traced) == "attempted parent 7 change 9, host_speed parent 0.81 change 0.50"
 
 
 def test_readme_states_the_src_line_count_and_the_export_count():
