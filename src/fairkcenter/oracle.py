@@ -1,6 +1,6 @@
 """Ground truth and baselines: exhaustive optimum for small instances, a
-farthest-first traversal baseline, candidate radius enumeration, and a
-planted-dataset generator whose optimal radius is known by construction."""
+farthest-first traversal baseline, and a planted-dataset generator whose
+optimal radius is known by construction."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,79 +33,62 @@ class OracleResult:
 # Subsets scored per numpy pass. At the n=16, k=5 guard one slice peaks
 # near 0.28 MB of float transients (traced with tracemalloc): two
 # (rows, n) float64 radius arrays, the running minimum and one gathered
-# column. The subset table, its member masks and the cap filter are not
-# sliced and grow with the subset count (see brute_force_opt).
+# column. The shape record and the cap filter are not sliced and grow
+# with the subset count (see brute_force_opt).
 _BLOCK_ROWS = 1024
 
 
-# brute_force_opt's default size guards, which also bound the subset-table
+# brute_force_opt's default size guards, which also bound the shape
 # cache: only shapes within them are cached
 _GUARD_N = 16
 _GUARD_K = 5
 
 
-def _build_subset_table(n: int, k: int) -> np.ndarray:
-    """Every subset of ``range(n)`` with 1..k members, by increasing size
-    then lexicographically, one ``intp`` row each, padded to k columns with
-    the sentinel index n. One ``np.fromiter`` per size, and read-only,
-    because every call of that shape may share it. A row costs 8k bytes:
-    0.28 MB at n=16, k=5."""
+class _Shape(NamedTuple):
+    """The read-only arrays every brute_force_opt call with n points and
+    k = min(spec.k, n) may share. ``rows`` lists every subset of
+    ``range(n)`` with 1..k members, by increasing size then
+    lexicographically, one ``intp`` row each, padded to k columns with the
+    sentinel index n (8k bytes a row). ``masks`` holds each row as a bitmask
+    of its members: bit i of word i // 64 is set when point i is in the
+    row, so one little-endian ``uint64`` word per 64 points, and the
+    sentinel sets no bit. ``sizes`` is each row's member count, one byte
+    like the popcounts it is compared with. ``(above, beside)`` is
+    ``np.triu_indices(n)``: the pairs i <= j in row order."""
+
+    rows: np.ndarray
+    masks: np.ndarray
+    sizes: np.ndarray
+    above: np.ndarray
+    beside: np.ndarray
+
+
+def _build_shape(n: int, k: int) -> _Shape:
+    """The (n, k) shape record, one ``np.fromiter`` per subset size."""
     counts = [math.comb(n, size) for size in range(1, k + 1)]
-    table = np.full((sum(counts), k), n, dtype=np.intp)
+    rows = np.full((sum(counts), k), n, dtype=np.intp)
     start = 0
     for size, count in enumerate(counts, start=1):
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-        table[start : start + count, :size] = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
+        rows[start : start + count, :size] = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
         start += count
-    table.flags.writeable = False
-    return table
-
-
-def _build_member_masks(table: np.ndarray, n: int) -> np.ndarray:
-    """Each row of a subset table as a bitmask of its members: bit i of
-    word i // 64 is set when point i is in the row, so one little-endian
-    ``uint64`` word per 64 points, and the sentinel sets no bit. Read-only,
-    like the table. A row costs 8 bytes per word: 0.05 MB at n=16, k=5."""
-    masks = np.zeros((len(table), (n + 63) // 64), dtype="<u8")
-    at = np.arange(len(table))
-    for col in table.T:
+    masks = np.zeros((len(rows), (n + 63) // 64), dtype="<u8")
+    at = np.arange(len(rows))
+    for col in rows.T:
         real = col < n
         masks[at[real], col[real] // 64] |= np.left_shift(np.uint64(1), (col[real] % 64).astype(np.uint64))
-    masks.flags.writeable = False
-    return masks
+    sizes = np.repeat(np.arange(1, k + 1, dtype=np.uint8), counts)
+    shape = _Shape(rows, masks, sizes, *np.triu_indices(n))
+    for array in shape:
+        array.flags.writeable = False
+    return shape
 
 
-# the tables and member masks of shapes within the default guards, built
-# on first use and kept: 70 shapes (n <= 16, k <= min(n, 5)), 1.26 MB of
-# tables and 0.28 MB of masks at most
-_subset_table = functools.lru_cache(maxsize=None)(_build_subset_table)
-
-
-@functools.lru_cache(maxsize=None)
-def _member_masks(n: int, k: int) -> np.ndarray:
-    return _build_member_masks(_subset_table(n, k), n)
-
-
-def _build_row_sizes(n: int, k: int) -> np.ndarray:
-    """The member count of each row of the (n, k) subset table, read-only:
-    comb(n, size) rows of each size, in the table's order, one byte each
-    like the popcounts it is compared with."""
-    sizes = np.repeat(np.arange(1, k + 1, dtype=np.uint8), [math.comb(n, size) for size in range(1, k + 1)])
-    sizes.flags.writeable = False
-    return sizes
-
-
-def _build_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n)``, read-only: the pairs i <= j in row order."""
-    rows, cols = np.triu_indices(n)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-# like the tables, cached only within the default guards: 35 KB of row
-# sizes over the 70 shapes and 13 KB of triangle indices over n <= 16
-_row_sizes = functools.lru_cache(maxsize=None)(_build_row_sizes)
-_triangle = functools.lru_cache(maxsize=None)(_build_triangle)
+# the shapes within the default guards, built on first use and kept: 70
+# shapes (n <= 16, k <= min(n, 5)), 1.64 MB at most: 1.26 MB of tables,
+# 0.28 MB of masks, 35 KB of sizes and 65 KB of triangle indices (52 KB
+# more than one triangle per n would keep)
+_cached_shape = functools.lru_cache(maxsize=None)(_build_shape)
 
 
 @functools.cache
@@ -127,38 +110,37 @@ def brute_force_opt(
 
     Enumerates every cap-feasible subset of at most k points, by increasing
     size then lexicographic ids, and keeps the first subset attaining the
-    minimum cost. The subsets come from one read-only table per
-    (n, min(k, n)), whose rows are padded to a common width with the
-    sentinel index n, and the cap filter reads each row's member bitmask
-    (``_build_member_masks``) and member count (``_build_row_sizes``).
-    Within the default guards these are cached (``_subset_table``,
-    ``_member_masks``, ``_row_sizes``, and ``_triangle`` per n), and they
-    are all a call leaves behind for the next; a call past them builds its
-    own and keeps none. Each call appends one +inf row to its distance
-    matrix for the sentinel, so a padded column never lowers a point's
-    radius. The rows breaking a cap are dropped once for the whole table:
-    a row's count in group g is the popcount of its mask and the group's
-    member mask, read 16 bits at a time from ``_bit_counts``, except that
-    when every group is tight the last group's count is the row's size
-    less the others' (every point is in some group), so two groups take
-    one popcount pass. The kept rows are copied into a new array: the
-    cached table is never written. They are scored in slices of
-    ``_BLOCK_ROWS`` by a running minimum over their distance rows,
-    gathered with ``take``, then one max per row. The float transients
-    stay per slice, but the table, the masks, the counts and the kept rows
+    minimum cost. The subsets, their member bitmasks and counts and the
+    triangle indices come from one read-only ``_Shape`` record per
+    (n, min(k, n)), whose table rows are padded to a common width with
+    the sentinel index n. Within the default guards the record is cached
+    (``_cached_shape``), and it is all a call leaves behind for the next; a
+    call past them builds its own and keeps none. Each call appends one
+    +inf row to its distance matrix for the sentinel, so a padded column
+    never lowers a point's radius. When some cap is below k, the rows
+    breaking a cap are dropped once for the whole table: a row's count in
+    each group but the last is the popcount of its mask and the group's
+    member mask, read 16 bits at a time from ``_bit_counts``; the last
+    group's count is the row's size less the others' (every point is in
+    exactly one group), so two groups take one popcount pass; only the
+    groups whose cap is below k are compared. The kept rows are copied into
+    a new array: the cached table is never written. They are scored in
+    slices of ``_BLOCK_ROWS`` by a running minimum over their distance
+    rows, gathered with ``take``, then one max per row. The float
+    transients stay per slice, but the record, the counts and the kept rows
     grow with the subset count: a cold two-group call at the n=16, k=5
-    guard peaks near 0.77 MB (tracemalloc), 0.34 MB of it the table, masks
-    and row sizes it keeps, and a warm one near 0.42 MB. The tie-break is
-    that of a plain loop: the first minimum in (size, lexicographic) order
-    wins, and a later slice must be strictly cheaper to replace it. A NaN
-    or infinite cost never wins; if subsets were scored but every one
-    scores such a cost, the error says so rather than calling the instance
-    infeasible. The distance matrix calls ``metric.fn`` once per pair
-    i <= j, one row at a time, into one flat list of the upper triangle,
-    written and mirrored by two assignments through the triangle's indices,
-    relying on the metric's symmetry; points of another dimension than the
-    first are refused first, with the metric's own error. Guarded to small
-    instances; raise the guards explicitly to go bigger.
+    guard peaks near 0.84 MB (tracemalloc), 0.35 MB of it the record it
+    keeps, and a warm one near 0.50 MB. The tie-break is that of a plain
+    loop: the first minimum in (size, lexicographic) order wins, and a
+    later slice must be strictly cheaper to replace it. A NaN or infinite
+    cost never wins; if subsets were scored but every one scores such a
+    cost, the error says so rather than calling the instance infeasible.
+    The distance matrix calls ``metric.fn`` once per pair i <= j, one row
+    at a time, into one flat list of the upper triangle, written and
+    mirrored by two assignments through the record's triangle, relying on
+    the metric's symmetry; points of another dimension than the first are
+    refused first, with the metric's own error. Guarded to small instances;
+    raise the guards explicitly to go bigger.
     """
     pts = list(points)
     n = len(pts)
@@ -182,40 +164,31 @@ def brute_force_opt(
         if p.group > m:
             raise ValueError(f"point {p.id} has group {p.group} but only {m} caps were given")
     k = min(spec.k, n)
-    cached = n <= _GUARD_N and k <= _GUARD_K
+    rows, masks, sizes, above, beside = _cached_shape(n, k) if n <= _GUARD_N and k <= _GUARD_K else _build_shape(n, k)
     # row n is the sentinel's: infinitely far from every point
     dists = np.empty((n + 1, n))
     dists[n] = math.inf
-    above, beside = _triangle(n) if cached else _build_triangle(n)
     upper = np.array(upper, dtype=float)
     dists[above, beside] = upper
     dists[beside, above] = upper
-    rows = _subset_table(n, k) if cached else _build_subset_table(n, k)
-    tight = [(g, cap) for g, cap in enumerate(spec.caps, start=1) if cap < k]
-    if tight:
-        masks = _member_masks(n, k) if cached else _build_member_masks(rows, n)
+    if min(spec.caps) < k:
         bit_counts = _bit_counts()
-        # with every group tight each point is in one of them, so the last
-        # group's count is the row's size less the others' (a lone group's
-        # cap is k, never tight, so some other group is counted)
-        last = tight.pop() if len(tight) == m else None
-        feasible = others = None
-        for g, cap in tight:
+        counts = []
+        rest = sizes
+        for g in range(1, m):
             group_bits = sum(1 << i for i, p in enumerate(pts) if p.group == g)
             words = [(group_bits >> (64 * w)) & (2**64 - 1) for w in range(masks.shape[1])]
             # 16-bit chunk c holds the bits of points 16c .. 16c + 15
             chunks = (masks & np.array(words, dtype="<u8")).view("<u2")
-            counts = bit_counts.take(chunks[:, 0])
+            count = bit_counts.take(chunks[:, 0])
             for c in range(1, (n + 15) // 16):
-                counts += bit_counts.take(chunks[:, c])
-            if feasible is None:
-                feasible, others = counts <= cap, counts
-            else:
-                feasible &= counts <= cap
-                others = others + counts
-        if last is not None:
-            sizes = _row_sizes(n, k) if cached else _build_row_sizes(n, k)
-            feasible &= sizes - others <= last[1]
+                count += bit_counts.take(chunks[:, c])
+            counts.append(count)
+            rest = rest - count
+        # every point is in exactly one group, so group m's count is the
+        # row's size less the other groups' counts
+        counts.append(rest)
+        feasible = functools.reduce(np.logical_and, [count <= cap for count, cap in zip(counts, spec.caps) if cap < k])
         rows = rows.compress(feasible, axis=0)
     best_cost = math.inf
     best_at = -1
@@ -240,21 +213,6 @@ def brute_force_opt(
         raise ValueError("no cap-feasible center set exists for this dataset")
     witness = CenterSet(tuple(pts[i] for i in rows[best_at].tolist() if i < n))
     return OracleResult(best_cost, witness, len(rows))
-
-
-def candidate_radii(points: Iterable[Point], metric: DistanceMetric = EUCLIDEAN) -> list[float]:
-    """Distinct pairwise distances and their halves, sorted ascending.
-    A single point has no pairs and yields the zero sentinel."""
-    pts = list(points)
-    values: set[float] = set()
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = metric(pts[i], pts[j])
-            values.add(d)
-            values.add(d / 2.0)
-    if not values:
-        return [0.0]
-    return sorted(values)
 
 
 def gonzalez(points: Sequence[Point], k: int, metric: DistanceMetric = EUCLIDEAN) -> CenterSet:

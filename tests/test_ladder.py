@@ -1,11 +1,13 @@
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fairkcenter import (
+    EUCLIDEAN,
     DistanceMetric,
     FairnessSpec,
     Ladder,
@@ -463,12 +465,13 @@ def test_feasibility_is_empirically_monotone_in_the_guess(rng):
     # reported as a warning rather than a failure
     import warnings
 
-    from fairkcenter.oracle import candidate_radii
     from conftest import random_two_group_instance
 
     for trial in range(25):
         points, spec = random_two_group_instance(rng, max_n=10)
-        radii = [r for r in candidate_radii(points) if r > 0][:6]
+        # the six smallest positive pairwise distances and their halves
+        pairs = [EUCLIDEAN(a, b) for a, b in itertools.combinations(points, 2)]
+        radii = sorted({r for d in pairs for r in (d, d / 2.0) if r > 0})[:6]
         feasible_flags = [run_known(r, points, spec).feasible for r in radii]
         if True in feasible_flags:
             first = feasible_flags.index(True)

@@ -18,7 +18,7 @@ from fairkcenter import (
     generate_planted,
     gonzalez,
 )
-from fairkcenter.oracle import _member_masks, _row_sizes, _subset_table, _triangle, candidate_radii
+from fairkcenter.oracle import _cached_shape
 
 from conftest import pt, random_two_group_instance, stream
 
@@ -268,10 +268,10 @@ def test_block_oracle_calls_the_metric_once_per_pair():
 
 
 # ----------------------------------------------------------------------
-# the cached subset table
+# the cached shape record
 # ----------------------------------------------------------------------
 def test_subset_table_lists_combinations_by_size_padded_with_the_sentinel():
-    table = _subset_table(5, 3)
+    table = _cached_shape(5, 3).rows
     expected = [
         combo + (5,) * (3 - size)
         for size in range(1, 4)
@@ -282,19 +282,14 @@ def test_subset_table_lists_combinations_by_size_padded_with_the_sentinel():
 
 
 def test_subset_table_is_read_only():
-    table = _subset_table(6, 2)
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = 1
-    assert _subset_table(6, 2) is table
-    # the row sizes and triangle indices every call of a shape shares
-    sizes = _row_sizes(6, 2)
-    assert sizes.tolist() == [int((row < 6).sum()) for row in table]
-    rows, cols = _triangle(6)
-    assert [rows.tolist(), cols.tolist()] == [a.tolist() for a in np.triu_indices(6)]
-    for cached in (sizes, rows, cols):
+    # every array of the record every call of a shape shares
+    shape = _cached_shape(6, 2)
+    for cached in shape:
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 1
-    assert _row_sizes(6, 2) is sizes and _triangle(6)[0] is rows
+    assert shape.sizes.tolist() == [int((row < 6).sum()) for row in shape.rows]
+    assert [shape.above.tolist(), shape.beside.tolist()] == [a.tolist() for a in np.triu_indices(6)]
+    assert _cached_shape(6, 2) is shape
 
 
 def test_a_lifted_guard_call_leaves_the_subset_table_cache_as_it_was():
@@ -302,21 +297,20 @@ def test_a_lifted_guard_call_leaves_the_subset_table_cache_as_it_was():
     # call past either builds its own table and keeps none
     rng = np.random.default_rng(31)
     pts = [Point(i, (float(rng.integers(0, 30)),), int(rng.integers(1, 3))) for i in range(17)]
-    caches = (_subset_table, _row_sizes, _triangle)
-    before = [cache.cache_info().currsize for cache in caches]
+    before = _cached_shape.cache_info().currsize
     assert assert_same_as_reference(pts, FairnessSpec((1, 1)), max_n=17)[0] == "ok"
     assert assert_same_as_reference(pts[:8], FairnessSpec((3, 3)), max_k=6)[0] == "ok"
-    assert [cache.cache_info().currsize for cache in caches] == before
+    assert _cached_shape.cache_info().currsize == before
 
 
 def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
-    # every call has n=8 and k=4, so all read one cached table; each brings
-    # other labels, caps or a metric, and a filter that wrote into the table
-    # would spoil the calls after it
+    # every call has n=8 and k=4, so all read one cached record; each brings
+    # other labels, caps or a metric, and a filter that wrote into one of its
+    # arrays would spoil the calls after it
     manhattan = DistanceMetric.from_callable(lambda a, b: sum(abs(x - y) for x, y in zip(a, b)), "l1")
     rng = np.random.default_rng(2718)
     coords = [tuple(float(c) for c in rng.integers(0, 9, size=2)) for _ in range(8)]
-    before = _subset_table(8, 4).copy()
+    before = [cached.copy() for cached in _cached_shape(8, 4)]
     cases = [
         ((2, 2), [1, 2] * 4, {}),
         ((0, 4), [1, 1, 2, 2, 1, 2, 2, 1], {}),
@@ -328,19 +322,19 @@ def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
     for caps, labels, kwargs in cases:
         points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
         assert assert_same_as_reference(points, FairnessSpec(caps), **kwargs)[0] == "ok"
-    assert np.array_equal(_subset_table(8, 4), before)
+    assert all(map(np.array_equal, _cached_shape(8, 4), before))
 
 
 # ----------------------------------------------------------------------
 # the member-bitmask cap filter
 # ----------------------------------------------------------------------
 def test_member_masks_set_one_bit_per_member_and_are_read_only():
-    table, masks = _subset_table(6, 3), _member_masks(6, 3)
+    table, masks = _cached_shape(6, 3)[:2]
     assert masks.shape == (len(table), 1)
     assert [int(word) for word in masks[:, 0]] == [sum(1 << int(i) for i in row if i < 6) for row in table]
     with pytest.raises(ValueError, match="read-only"):
         masks[0, 0] = 1
-    assert _member_masks(6, 3) is masks
+    assert _cached_shape(6, 3).masks is masks
 
 
 def test_three_groups_with_zero_and_tight_caps_match_the_subset_loop():
@@ -352,11 +346,12 @@ def test_three_groups_with_zero_and_tight_caps_match_the_subset_loop():
         labels = [int(g) for g in rng.integers(1, 4, size=16)]
         points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
         assert assert_same_as_reference(points, FairnessSpec(caps))[0] == "ok"
-    # every group tight, so the last group's count is the row size less the
-    # others': three groups (1, 2, 2) at k=5, and two groups (2, 3). With a
-    # zero cap in two groups the other cap is k, not tight, so the last
-    # count must be read, not derived
-    for caps in ((1, 2, 2), (2, 3), (0, 5), (4, 0)):
+    # the last group's count is the row size less every other group's,
+    # tight or not: every group tight in (1, 2, 2) and (2, 3); in (0, 5) and
+    # (4, 0) one group is not tight; in (5, 0, 0) group 1 is not tight and
+    # the derived group 3 is, and in (0, 5, 0) the middle group is not
+    # tight but its count is needed to derive group 3's
+    for caps in ((1, 2, 2), (2, 3), (0, 5), (4, 0), (5, 0, 0), (0, 5, 0)):
         labels = [int(g) for g in rng.integers(1, len(caps) + 1, size=16)]
         points = [Point(i, c, g) for i, (c, g) in enumerate(zip(coords, labels))]
         assert assert_same_as_reference(points, FairnessSpec(caps))[0] == "ok"
@@ -378,26 +373,10 @@ def test_a_lifted_guard_past_64_points_matches_the_subset_loop():
 def test_a_lifted_guard_call_leaves_the_mask_cache_as_it_was():
     rng = np.random.default_rng(71)
     pts = [Point(i, (float(rng.integers(0, 90)),), int(rng.integers(1, 3))) for i in range(70)]
-    caches = (_member_masks, _row_sizes, _triangle)
-    before = [cache.cache_info().currsize for cache in caches]
+    before = _cached_shape.cache_info().currsize
     brute_force_opt(pts, FairnessSpec((1, 1)), max_n=70)
     brute_force_opt(pts[:8], FairnessSpec((3, 3)), max_k=6)
-    assert [cache.cache_info().currsize for cache in caches] == before
-
-
-# ----------------------------------------------------------------------
-# candidate radii
-# ----------------------------------------------------------------------
-def test_candidate_radii_distances_and_halves():
-    assert candidate_radii(stream([(0.0, 1), (1.0, 1), (3.0, 1)])) == [0.5, 1.0, 1.5, 2.0, 3.0]
-
-
-def test_candidate_radii_single_point():
-    assert candidate_radii([pt(0, 7.0, 1)]) == [0.0]
-
-
-def test_candidate_radii_coincident_pair():
-    assert candidate_radii(stream([(2.0, 1), (2.0, 2)])) == [0.0]
+    assert _cached_shape.cache_info().currsize == before
 
 
 # ----------------------------------------------------------------------
