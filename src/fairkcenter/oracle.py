@@ -38,8 +38,7 @@ class OracleResult:
 _BLOCK_ROWS = 1024
 
 
-# brute_force_opt's default size guards, which also bound the shape
-# cache: only shapes within them are cached
+# the exhaustive search's size guards, which also bound the shape cache
 _GUARD_N = 16
 _GUARD_K = 5
 
@@ -48,13 +47,13 @@ class _Shape(NamedTuple):
     """The read-only arrays every brute_force_opt call with n points and
     k = min(spec.k, n) may share. ``rows`` lists every subset of
     ``range(n)`` with 1..k members, by increasing size then
-    lexicographically, one ``intp`` row each, padded to k columns with the
-    sentinel index n (8k bytes a row). ``masks`` holds each row as a bitmask
-    of its members: bit i of word i // 64 is set when point i is in the
-    row, so one little-endian ``uint64`` word per 64 points, and the
-    sentinel sets no bit. ``sizes`` is each row's member count, one byte
-    like the popcounts it is compared with. ``(above, beside)`` is
-    ``np.triu_indices(n)``: the pairs i <= j in row order."""
+    lexicographically, one ``uint8`` row each, padded to k columns with the
+    sentinel index n (k bytes a row). ``masks`` holds each row as a
+    ``uint16`` bitmask of its members: bit i is set when point i is in the
+    row, and the sentinel sets no bit. ``sizes`` is each row's member
+    count, one byte like the popcounts it is compared with.
+    ``(above, beside)`` is ``np.triu_indices(n)``: the pairs i <= j in row
+    order."""
 
     rows: np.ndarray
     masks: np.ndarray
@@ -63,32 +62,28 @@ class _Shape(NamedTuple):
     beside: np.ndarray
 
 
-def _build_shape(n: int, k: int) -> _Shape:
+# built on first use and kept; the guards refuse every larger shape first,
+# so the cache holds 70 shapes at most (n <= 16, k <= min(n, 5)), 0.33 MB:
+# 158 KB of tables, 71 KB of masks, 35 KB of sizes and 65 KB of triangle
+# indices (52 KB more than one triangle per n would keep)
+@functools.cache
+def _cached_shape(n: int, k: int) -> _Shape:
     """The (n, k) shape record, one ``np.fromiter`` per subset size."""
     counts = [math.comb(n, size) for size in range(1, k + 1)]
-    rows = np.full((sum(counts), k), n, dtype=np.intp)
+    rows = np.full((sum(counts), k), n, dtype=np.uint8)
     start = 0
     for size, count in enumerate(counts, start=1):
         flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-        rows[start : start + count, :size] = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
+        rows[start : start + count, :size] = np.fromiter(flat, dtype=np.uint8, count=count * size).reshape(count, size)
         start += count
-    masks = np.zeros((len(rows), (n + 63) // 64), dtype="<u8")
-    at = np.arange(len(rows))
-    for col in rows.T:
-        real = col < n
-        masks[at[real], col[real] // 64] |= np.left_shift(np.uint64(1), (col[real] % 64).astype(np.uint64))
+    # one bit per point, and none for the sentinel
+    bits = np.append(np.left_shift(np.uint16(1), np.arange(n, dtype=np.uint16)), np.uint16(0))
+    masks = np.bitwise_or.reduce(bits[rows], axis=1)
     sizes = np.repeat(np.arange(1, k + 1, dtype=np.uint8), counts)
     shape = _Shape(rows, masks, sizes, *np.triu_indices(n))
     for array in shape:
         array.flags.writeable = False
     return shape
-
-
-# the shapes within the default guards, built on first use and kept: 70
-# shapes (n <= 16, k <= min(n, 5)), 1.64 MB at most: 1.26 MB of tables,
-# 0.28 MB of masks, 35 KB of sizes and 65 KB of triangle indices (52 KB
-# more than one triangle per n would keep)
-_cached_shape = functools.lru_cache(maxsize=None)(_build_shape)
 
 
 @functools.cache
@@ -103,8 +98,6 @@ def brute_force_opt(
     points: Iterable[Point],
     spec: FairnessSpec,
     metric: DistanceMetric = EUCLIDEAN,
-    max_n: int = _GUARD_N,
-    max_k: int = _GUARD_K,
 ) -> OracleResult:
     """Exhaustive optimal solution under the caps.
 
@@ -113,43 +106,41 @@ def brute_force_opt(
     minimum cost. The subsets, their member bitmasks and counts and the
     triangle indices come from one read-only ``_Shape`` record per
     (n, min(k, n)), whose table rows are padded to a common width with
-    the sentinel index n. Within the default guards the record is cached
-    (``_cached_shape``), and it is all a call leaves behind for the next; a
-    call past them builds its own and keeps none. Each call appends one
-    +inf row to its distance matrix for the sentinel, so a padded column
-    never lowers a point's radius. When some cap is below k, the rows
-    breaking a cap are dropped once for the whole table: a row's count in
-    each group but the last is the popcount of its mask and the group's
-    member mask, read 16 bits at a time from ``_bit_counts``; the last
-    group's count is the row's size less the others' (every point is in
-    exactly one group), so two groups take one popcount pass; only the
-    groups whose cap is below k are compared. The kept rows are copied into
-    a new array: the cached table is never written. They are scored in
-    slices of ``_BLOCK_ROWS`` by a running minimum over their distance
-    rows, gathered with ``take``, then one max per row. The float
-    transients stay per slice, but the record, the counts and the kept rows
-    grow with the subset count: a cold two-group call at the n=16, k=5
-    guard peaks near 0.84 MB (tracemalloc), 0.35 MB of it the record it
-    keeps, and a warm one near 0.50 MB. The tie-break is that of a plain
-    loop: the first minimum in (size, lexicographic) order wins, and a
-    later slice must be strictly cheaper to replace it. A NaN or infinite
-    cost never wins; if subsets were scored but every one scores such a
-    cost, the error says so rather than calling the instance infeasible.
-    The distance matrix calls ``metric.fn`` once per pair i <= j, one row
-    at a time, into one flat list of the upper triangle, written and
-    mirrored by two assignments through the record's triangle, relying on
-    the metric's symmetry; points of another dimension than the first are
-    refused first, with the metric's own error. Guarded to small instances;
-    raise the guards explicitly to go bigger.
+    the sentinel index n. The record is cached (``_cached_shape``), and it
+    is all a call leaves behind for the next. Each call appends one +inf
+    row to its distance matrix for the sentinel, so a padded column never
+    lowers a point's radius. When some cap is below k, the rows breaking a
+    cap are dropped once for the whole table: a row's count in each group
+    but the last is the popcount of its mask and the group's member mask,
+    read from ``_bit_counts``; the last group's count is the row's size
+    less the others' (every point is in exactly one group), so two groups
+    take one popcount pass; only the groups whose cap is below k are
+    compared. The kept rows are copied into a new array: the cached table
+    is never written. They are scored in slices of ``_BLOCK_ROWS`` by a
+    running minimum over their distance rows, gathered with ``take``, then
+    one max per row. The float transients stay per slice, but the record,
+    the counts and the kept rows grow with the subset count: a cold
+    two-group call at the n=16, k=5 guard peaks near 0.38 MB
+    (tracemalloc), 0.06 MB of it the record it keeps, and a warm one near
+    0.32 MB. The tie-break is that of a plain loop: the first minimum in
+    (size, lexicographic) order wins, and a later slice must be strictly
+    cheaper to replace it. A NaN or infinite cost never wins; if subsets
+    were scored but every one scores such a cost, the error says so rather
+    than calling the instance infeasible. The distance matrix calls
+    ``metric.fn`` once per pair i <= j, one row at a time, into one flat
+    list of the upper triangle, written and mirrored by two assignments
+    through the record's triangle, relying on the metric's symmetry; points
+    of another dimension than the first are refused first, with the
+    metric's own error. Guarded to small instances: n <= 16 and k <= 5.
     """
     pts = list(points)
     n = len(pts)
     if n == 0:
         raise ValueError("empty dataset")
-    if n > max_n:
-        raise SizeGuardError(f"n={n} exceeds the exhaustive-search guard ({max_n})")
-    if spec.k > max_k:
-        raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard ({max_k})")
+    if n > _GUARD_N:
+        raise SizeGuardError(f"n={n} exceeds the exhaustive-search guard ({_GUARD_N})")
+    if spec.k > _GUARD_K:
+        raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard ({_GUARD_K})")
     coords = [p.coords for p in pts]
     dim = len(coords[0])
     for p in pts:
@@ -164,7 +155,7 @@ def brute_force_opt(
         if p.group > m:
             raise ValueError(f"point {p.id} has group {p.group} but only {m} caps were given")
     k = min(spec.k, n)
-    rows, masks, sizes, above, beside = _cached_shape(n, k) if n <= _GUARD_N and k <= _GUARD_K else _build_shape(n, k)
+    rows, masks, sizes, above, beside = _cached_shape(n, k)
     # row n is the sentinel's: infinitely far from every point
     dists = np.empty((n + 1, n))
     dists[n] = math.inf
@@ -177,12 +168,7 @@ def brute_force_opt(
         rest = sizes
         for g in range(1, m):
             group_bits = sum(1 << i for i, p in enumerate(pts) if p.group == g)
-            words = [(group_bits >> (64 * w)) & (2**64 - 1) for w in range(masks.shape[1])]
-            # 16-bit chunk c holds the bits of points 16c .. 16c + 15
-            chunks = (masks & np.array(words, dtype="<u8")).view("<u2")
-            count = bit_counts.take(chunks[:, 0])
-            for c in range(1, (n + 15) // 16):
-                count += bit_counts.take(chunks[:, c])
+            count = bit_counts.take(masks & np.uint16(group_bits))
             counts.append(count)
             rest = rest - count
         # every point is in exactly one group, so group m's count is the

@@ -362,6 +362,13 @@ def test_center_set_rejects_duplicate_ids():
         CenterSet((pt(0, 0.0), pt(0, 1.0)))
 
 
+def test_per_group_counts_refuses_a_center_above_the_declared_groups():
+    centers = CenterSet((pt(0, 0.0, 1), pt(4, 1.0, 3)))
+    assert centers.per_group_counts(3) == (1, 0, 1)
+    with pytest.raises(ValueError, match="^center 4 labelled group 3 but only 2 groups declared$"):
+        centers.per_group_counts(2)
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         Point(0, (), 1)

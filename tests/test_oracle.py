@@ -57,9 +57,12 @@ def test_brute_force_size_guards():
         brute_force_opt(pts, FairnessSpec((1, 1)))
     with pytest.raises(SizeGuardError, match="k="):
         brute_force_opt(stream([(0.0, 1)]), FairnessSpec((3, 3)))
-    # guards can be lifted explicitly
-    result = brute_force_opt(pts, FairnessSpec((1, 1)), max_n=17)
-    assert result.r_opt == 8.0
+
+
+def test_brute_force_refuses_points_of_mixed_dimension():
+    pts = [pt(0, 0.0, 1), pt(1, (1.0, 2.0), 2), pt(2, 3.0, 1)]
+    with pytest.raises(ValueError, match="^dimension mismatch: point 0 has 1 coords, point 1 has 2$"):
+        brute_force_opt(pts, FairnessSpec((1, 1)))
 
 
 def test_brute_force_no_feasible_subset():
@@ -82,17 +85,17 @@ def test_oracle_lower_bounds_any_feasible_solution(rng):
 # ----------------------------------------------------------------------
 # equivalence with the plain subset loop
 # ----------------------------------------------------------------------
-def reference_brute_force(points, spec, metric=EUCLIDEAN, max_n=16, max_k=5):
+def reference_brute_force(points, spec, metric=EUCLIDEAN):
     """The exhaustive optimum as a plain loop over subsets, one numpy call
     per subset: the specification the block-wise oracle must match."""
     pts = list(points)
     n = len(pts)
     if n == 0:
         raise ValueError("empty dataset")
-    if n > max_n:
-        raise SizeGuardError(f"n={n} exceeds the exhaustive-search guard ({max_n})")
-    if spec.k > max_k:
-        raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard ({max_k})")
+    if n > 16:
+        raise SizeGuardError(f"n={n} exceeds the exhaustive-search guard (16)")
+    if spec.k > 5:
+        raise SizeGuardError(f"k={spec.k} exceeds the exhaustive-search guard (5)")
     dists = np.array([[metric(p, q) for q in pts] for p in pts])
     groups = [p.group for p in pts]
     best_cost = math.inf
@@ -209,17 +212,23 @@ def test_block_oracle_reports_the_first_group_above_the_caps():
 
 
 def test_block_oracle_matches_the_guard_errors():
+    # the guards refuse an oversized shape before it is built, so the
+    # shape cache stays as it was
     many = stream([(float(i), 1) for i in range(17)])
+    before = _cached_shape.cache_info().currsize
     assert assert_same_as_reference(many, FairnessSpec((1, 1)))[1] is SizeGuardError
     assert assert_same_as_reference(many[:3], FairnessSpec((3, 3)))[1] is SizeGuardError
+    assert _cached_shape.cache_info().currsize == before
     assert assert_same_as_reference([], FairnessSpec((1, 1)))[2] == "empty dataset"
 
 
-def test_block_oracle_matches_with_lifted_guards():
+def test_block_oracle_matches_at_the_guard_over_several_blocks():
+    # n=16, k=5 in one group: no cap filter, and the 4368 rows of size 5
+    # span several slices
     rng = np.random.default_rng(17)
-    pts = [Point(i, (float(rng.integers(0, 30)),), int(rng.integers(1, 3))) for i in range(17)]
-    expected = assert_same_as_reference(pts, FairnessSpec((3, 3)), max_n=17, max_k=6)
-    assert expected[0] == "ok" and expected[3] > 6 * 1024  # the last size spans several blocks
+    pts = [Point(i, (float(rng.integers(0, 30)),), 1) for i in range(16)]
+    expected = assert_same_as_reference(pts, FairnessSpec((5,)))
+    assert expected[0] == "ok" and expected[3] > 4 * 1024
 
 
 def test_block_oracle_matches_with_a_custom_metric():
@@ -277,7 +286,7 @@ def test_subset_table_lists_combinations_by_size_padded_with_the_sentinel():
         for size in range(1, 4)
         for combo in itertools.combinations(range(5), size)
     ]
-    assert table.dtype == np.intp
+    assert table.dtype == np.uint8
     assert [tuple(int(i) for i in row) for row in table] == expected
 
 
@@ -290,17 +299,6 @@ def test_subset_table_is_read_only():
     assert shape.sizes.tolist() == [int((row < 6).sum()) for row in shape.rows]
     assert [shape.above.tolist(), shape.beside.tolist()] == [a.tolist() for a in np.triu_indices(6)]
     assert _cached_shape(6, 2) is shape
-
-
-def test_a_lifted_guard_call_leaves_the_subset_table_cache_as_it_was():
-    # only shapes within the default guards (n <= 16, k <= 5) are cached; a
-    # call past either builds its own table and keeps none
-    rng = np.random.default_rng(31)
-    pts = [Point(i, (float(rng.integers(0, 30)),), int(rng.integers(1, 3))) for i in range(17)]
-    before = _cached_shape.cache_info().currsize
-    assert assert_same_as_reference(pts, FairnessSpec((1, 1)), max_n=17)[0] == "ok"
-    assert assert_same_as_reference(pts[:8], FairnessSpec((3, 3)), max_k=6)[0] == "ok"
-    assert _cached_shape.cache_info().currsize == before
 
 
 def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
@@ -330,16 +328,16 @@ def test_calls_sharing_one_subset_table_each_match_the_subset_loop():
 # ----------------------------------------------------------------------
 def test_member_masks_set_one_bit_per_member_and_are_read_only():
     table, masks = _cached_shape(6, 3)[:2]
-    assert masks.shape == (len(table), 1)
-    assert [int(word) for word in masks[:, 0]] == [sum(1 << int(i) for i in row if i < 6) for row in table]
+    assert masks.dtype == np.uint16 and masks.shape == (len(table),)
+    assert [int(mask) for mask in masks] == [sum(1 << int(i) for i in row if i < 6) for row in table]
     with pytest.raises(ValueError, match="read-only"):
-        masks[0, 0] = 1
+        masks[0] = 1
     assert _cached_shape(6, 3).masks is masks
 
 
 def test_three_groups_with_zero_and_tight_caps_match_the_subset_loop():
-    # n=16 at the guard: the filter reads one 16-bit chunk, and every cap
-    # below k, zero included, drops rows
+    # n=16 at the guard: the masks use all 16 bits, and every cap below k,
+    # zero included, drops rows
     rng = np.random.default_rng(1616)
     coords = [tuple(float(c) for c in rng.integers(0, 12, size=2)) for _ in range(16)]
     for caps in ((0, 2, 3), (2, 0, 1), (1, 1, 1), (3, 1, 0), (0, 0, 4)):
@@ -357,26 +355,16 @@ def test_three_groups_with_zero_and_tight_caps_match_the_subset_loop():
         assert assert_same_as_reference(points, FairnessSpec(caps))[0] == "ok"
 
 
-def test_a_lifted_guard_past_64_points_matches_the_subset_loop():
-    # 70 points: the masks take two 64-bit words, and the filter reads the
-    # chunks of points 64..69 from the second
+def test_a_group_in_the_masks_high_byte_matches_the_subset_loop():
+    # 16 points: the filter reads both bytes of every mask
     rng = np.random.default_rng(7070)
-    points = [Point(i, (float(rng.integers(0, 200)),), int(rng.integers(1, 3))) for i in range(70)]
-    assert assert_same_as_reference(points, FairnessSpec((1, 1)), max_n=70)[0] == "ok"
-    # a group whose only members lie past the first word, and whose cap the
-    # optimum spends there
-    points = [Point(i, (float(i),), 2 if i >= 66 else 1) for i in range(70)]
-    expected = assert_same_as_reference(points, FairnessSpec((1, 1)), max_n=70)
-    assert expected[0] == "ok" and max(expected[2]) >= 66
-
-
-def test_a_lifted_guard_call_leaves_the_mask_cache_as_it_was():
-    rng = np.random.default_rng(71)
-    pts = [Point(i, (float(rng.integers(0, 90)),), int(rng.integers(1, 3))) for i in range(70)]
-    before = _cached_shape.cache_info().currsize
-    brute_force_opt(pts, FairnessSpec((1, 1)), max_n=70)
-    brute_force_opt(pts[:8], FairnessSpec((3, 3)), max_k=6)
-    assert _cached_shape.cache_info().currsize == before
+    points = [Point(i, (float(rng.integers(0, 200)),), int(rng.integers(1, 3))) for i in range(16)]
+    assert assert_same_as_reference(points, FairnessSpec((1, 1)))[0] == "ok"
+    # group 1, the group the filter counts, holds only points 8..15, the
+    # masks' high byte, and the optimum spends its cap there
+    points = [Point(i, (float(i),), 1 if i >= 8 else 2) for i in range(16)]
+    expected = assert_same_as_reference(points, FairnessSpec((1, 1)))
+    assert expected[0] == "ok" and max(expected[2]) >= 8
 
 
 # ----------------------------------------------------------------------

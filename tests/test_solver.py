@@ -183,6 +183,14 @@ def test_graph_edgeless_when_groups_are_far():
     assert graph_edges(graph) == set()
 
 
+def test_graph_refuses_an_id_on_both_sides():
+    g1 = filled_set(1.0, [0.0], group=1)
+    g2 = IndependentSet(1.0, EUCLIDEAN, group_filter=2)
+    g2.offer(pt(g1.members[0].id, 50.0, 2))
+    with pytest.raises(ValueError, match="^duplicate point ids across the two sides$"):
+        build_cross_graph(g1, g2)
+
+
 def test_graph_degree_counts_all_links():
     g1 = filled_set(1.0, [0.0], group=1)
     g2 = filled_set(1.0, [1.0, -1.0], group=2)  # both stored: 2 apart
