@@ -64,7 +64,7 @@ def fingerprint(fk, w, seed, index, path):
         "center_ids": list(result.centers.ids()),
         "total_stored_peak": ladder.total_stored_peak,
         "total_distance_evals": ladder.total_distance_evals,
-        "total_evals_performed": ladder.total_evals_performed,
+        "total_evals_performed": ladder.stats.evals_performed,
         "worst_update_excess": ladder.worst_update_excess,
         "spawned_count": ladder.spawned_count,
         "per_instance_stored_peak": ladder.per_instance_stored_peak,

@@ -62,7 +62,7 @@ def sweep(sizes, runs_per_size, k, epsilon, dim, cap1_of, seed_of):
                     "per_instance_peak": ladder.per_instance_stored_peak,
                     "total_stored_peak": ladder.total_stored_peak,
                     "distance_evals": ladder.total_distance_evals,
-                    "evals_performed": ladder.total_evals_performed,
+                    "evals_performed": ladder.stats.evals_performed,
                     "worst_update_excess": ladder.worst_update_excess,
                     "runtime_s": elapsed,
                 }

@@ -11,8 +11,17 @@ then picks k+1 of the distinct locations; the (k+1)-th pick lies some d
 from the earlier picks, so all k+1 picks are pairwise at least d apart, two
 of them share an optimal cluster, and d/2 is at most the optimal radius.
 The grid starts at that certified lower bound and climbs by (1+epsilon)
-steps until a guess's covering threshold spans the buffer. Every grid
-guess is seeded by replaying the buffer.
+steps until a guess spans the buffer. Every grid guess is seeded by
+replaying the buffer.
+
+One span rule, ``Ladder._spans``, says where every grid loop may stop: with
+D the diameter of the points a loop reads, a guess g spans them at 2g >= D,
+or at g >= D in semi mode with a zero group-1 cap. An extension, and
+``finish`` pushing the grid up, call the caps unservable at a spanning
+guess that still fails. So each loop ends within ceil(log(D/g) /
+log1p(epsilon)) + 1 steps of its first guess g, plus the few one-ulp
+``_next_guess`` steps among subnormals; a rung whose radii overflow still
+raises ``OverflowError``.
 
 The lowest guess obeys these rules:
 
@@ -31,15 +40,16 @@ The lowest guess obeys these rules:
 
 With the lowest guess at or below the optimum, the smallest grid guess at
 or above the optimum is within (1+epsilon) of it, and the paper's lemma
-makes that rung feasible (semi mode with a zero group-1 cap excepted:
-ROADMAP item 3c). Every answer meets the caps; one from a rung that saw the
-whole stream costs at most 5x (semi: 3x) its own guess, so 5(1+epsilon)
-(3(1+epsilon)) times the optimum. On a rung at g' seeded by replay (below),
-a point that a top at g did not store is within 2g (semi: 3g) of one it
-stored, so it costs at most 5g' (3g') plus 2g (3g) summed over the tops
-it came through: under (5 + 2/epsilon)g' ((3 + 3/epsilon)g'). That such an answer
-stays within 5x (3x) its own guess is observed, not proved (criteria 4,
-9 and 10; a longer seeded search's worst was 4.9994x).
+makes that rung feasible (semi mode with a zero group-1 cap excepted when a
+rung drops a group-2 point within one threshold of group 1: ROADMAP item
+3c). Every answer meets the caps; one from a rung that saw the whole stream
+costs at most 5x (semi: 3x) its own guess, so 5(1+epsilon) (3(1+epsilon))
+times the optimum. On a rung at g' seeded by replay (below), a point that a
+top at g did not store is within 2g (semi: 3g) of one it stored, so it
+costs at most 5g' (3g') plus 2g (3g) summed over the tops it came through:
+under (5 + 2/epsilon)g' ((3 + 3/epsilon)g'). That such an answer stays
+within 5x (3x) its own guess is observed, not proved (criteria 4, 9 and 10;
+a longer seeded search's worst was 4.9994x).
 
 A guess is pruned as soon as its rung holds a certificate that it
 undershoots: more than k stored points pairwise more than twice the guess
@@ -220,13 +230,13 @@ class Ladder:
         return max(min(bound, sys.float_info.max) / 2.0, math.ulp(0.0))
 
     def _spawn_initial_grid(self) -> None:
-        """Grid from the lowest guess up to a guess whose covering threshold
-        spans the whole buffer, or up to the last guess whose radii stay
-        finite; every instance replays the full buffer, so none of them
-        carries any seeding slack."""
+        """Grid from the lowest guess up to the first guess that spans the
+        whole buffer, or up to the last guess whose radii stay finite; every
+        instance replays the full buffer, so none of them carries any
+        seeding slack."""
         diameter = max(max(row) for row in self._site_dist)
         grid = [self._lowest_guess()]
-        while 2.0 * grid[-1] < diameter:
+        while not self._spans(grid[-1], diameter):
             step = self._next_guess(grid[-1])
             if 3.0 * step == math.inf:
                 break  # a rung there raises OverflowError, so only extension may reach it
@@ -294,6 +304,20 @@ class Ladder:
         there the step is one float ulp instead."""
         return max(guess * (1.0 + self.epsilon), math.nextafter(guess, math.inf))
 
+    def _spans(self, guess: float, diameter: float) -> bool:
+        """Whether a rung at ``guess`` over points at most ``diameter`` apart
+        answers as any higher rung would. At 2g >= D each group keeps at most
+        one stored point: a general rung's one-over path serves a group from
+        the other within 3g, and a semi rung with a positive group-1 cap
+        keeps one ``reps1`` point, so its union answer serves everything. An
+        overflow there means a populated group has cap zero and no other
+        group can stand in for it. With a zero group-1 cap a semi rung serves
+        group 1 only through group-2 stand-ins within one guess (half its
+        threshold), so it spans at g >= D."""
+        if self.mode == "semi" and self.spec.caps[0] == 0:
+            return guess >= diameter
+        return 2.0 * guess >= diameter
+
     def _spawn(self, guess: float, replay: list[Point]) -> SolverInstance | None:
         """Add a rung at ``guess`` seeded by feeding it each point of
         ``replay`` through its gates; a rung the replay overflows is retired
@@ -322,10 +346,7 @@ class Ladder:
                 return inst
             if diameter is None:
                 diameter = self._diameter(replay)
-            if 2.0 * base >= diameter:
-                # at this threshold each group keeps at most one stored point,
-                # so an overflow means a populated group has cap zero and no
-                # other group can stand in for it
+            if self._spans(base, diameter):
                 raise RuntimeError(_UNSERVABLE)
 
     def _diameter(self, points: list[Point]) -> float:
@@ -371,7 +392,7 @@ class Ladder:
             outcome = inst.finalize()
             if outcome.feasible:
                 return LadderResult(self.guesses[-1], outcome.centers)
-            if self.guesses[-1] >= diameter:
+            if self._spans(self.guesses[-1], diameter):
                 raise RuntimeError(_UNSERVABLE)
 
     def _degenerate_result(self) -> LadderResult:
@@ -392,12 +413,6 @@ class Ladder:
     @property
     def total_distance_evals(self) -> int:
         return self.stats.distance_evals
-
-    @property
-    def total_evals_performed(self) -> int:
-        """Distance evaluations actually made: ``total_distance_evals`` less
-        what scans that stop at a covering point skip."""
-        return self.stats.evals_performed
 
     @property
     def per_instance_stored_peak(self) -> int:

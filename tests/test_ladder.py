@@ -65,6 +65,13 @@ def test_lowest_guess_is_half_the_farthest_first_distance():
     assert ladder.guesses[0] == 1.5
 
 
+def test_lowest_guess_at_exactly_k_sites_is_half_the_smallest_gap():
+    # three distinct locations and k = 3: farthest-first would need k+1
+    # picks, so the grid starts at half the smallest gap, 3
+    ladder, _ = run_ladder(stream([(0.0, 1), (3.0, 2), (10.0, 1)]), FairnessSpec((2, 1)))
+    assert ladder.guesses[0] == 1.5
+
+
 def test_grid_steps_are_geometric():
     spec = FairnessSpec((1, 1))
     ladder = Ladder(spec, epsilon=0.25)
@@ -401,17 +408,63 @@ def test_a_top_rung_is_pruned_by_separated_points_it_stored_as_the_top(monkeypat
     assert clustering_cost(points, result.centers) <= 5.0 * result.best_guess
 
 
-@pytest.mark.xfail(
-    strict=True, raises=RuntimeError,
-    reason="ROADMAP item 3c: a semi rung drops a group-2 point within one threshold of group 1",
-)
 def test_semi_ladder_serves_group_2_alone_under_a_zero_group_1_cap():
-    # the oracle gives r_opt 20 with the group-2 point as the one center
+    # the oracle gives r_opt 20 with the group-2 point as the one center,
+    # which serves group 1 as a stand-in only at a guess of 20 or more
     spec = FairnessSpec((0, 1))
     points = stream([(0.0, 1), (10.0, 1), (20.0, 2)])
     _, result = run_ladder(points, spec, mode="semi")
     assert check_fairness(result.centers, spec) == []
     assert clustering_cost(points, result.centers) <= 3.0 * result.best_guess
+    assert result.best_guess <= 1.1 * 20
+
+
+def test_semi_ladder_with_a_zero_group_1_cap_on_the_oracle_sweep():
+    # the caps-{0,1,2}^2 sweep, drawn like criterion 9's fixture, keeping the
+    # draws with a zero group-1 cap and a cap-feasible center set
+    rng = np.random.default_rng(11)
+    epsilon = 0.1
+    raised, runs = [], 0
+    for draw in range(3000):
+        n = int(rng.integers(3, 11))
+        points = [Point(i, tuple(float(c) for c in rng.integers(0, 7, size=2)), int(rng.integers(1, 3)))
+                  for i in range(n)]
+        caps = (int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        order = sorted((points[i] for i in rng.permutation(n)), key=lambda p: p.group)
+        if caps[0] != 0 or caps == (0, 0):
+            continue
+        spec = FairnessSpec(caps)
+        try:
+            r_opt = brute_force_opt(points, spec).r_opt
+        except ValueError:
+            continue
+        runs += 1
+        try:
+            _, result = run_ladder(order, spec, mode="semi", epsilon=epsilon)
+        except RuntimeError:
+            raised.append(draw)
+            continue
+        assert check_fairness(result.centers, spec) == [], draw
+        if r_opt > 0:  # a zero optimum needs a rung at guess 0 (ROADMAP item 8)
+            assert result.best_guess <= (1.0 + epsilon) * r_opt, draw
+            assert clustering_cost(order, result.centers) <= 3.0 * (1.0 + epsilon) * r_opt, draw
+    assert runs == 668
+    # these fill the bootstrap with group-1 points, and an over-cap rung
+    # drops their later group-2 point (ROADMAP item 3c)
+    assert raised == [1862, 2068, 2225, 2583]
+
+
+def test_the_semi_ladder_attains_three_under_a_zero_group_1_cap():
+    # caps (0, 2): the optimum 1 takes both group-2 points as centers. The
+    # ladder answers {9} alone, 3 from the point at 6
+    spec = FairnessSpec((0, 2))
+    points = stream([(8.0, 1), (6.0, 2), (9.0, 2)])
+    r_opt = brute_force_opt(points, spec).r_opt
+    assert r_opt == 1.0
+    ladder, result = run_ladder(points, spec, mode="semi")
+    assert check_fairness(result.centers, spec) == []
+    assert clustering_cost(points, result.centers) / r_opt == 3.0
+    assert ladder.spawned_count == 20
 
 
 def test_unservable_caps_raise():
@@ -437,6 +490,33 @@ def test_a_group_with_cap_zero_alone_is_unservable(mode):
         ladder.finish()
     assert ladder.guesses == [5.0, 5.5]
     assert ladder.pruned == ([5.0, 5.5] if mode == "semi" else [])
+
+
+@pytest.mark.parametrize("mode", ["general", "semi"])
+@pytest.mark.parametrize("far, guesses", [(10.0, [2.5, 5.0, 10.0]), (10.05, [2.5, 5.0, 10.0, 20.0])])
+def test_the_span_rule_stops_the_grid_at_twice_the_guess(mode, far, guesses):
+    # caps (3, 0) leave group 2 unservable. The grid starts at 2.5, half the
+    # smallest gap, and stops at the first guess g with 2g >= D: at 5 for
+    # D = 10, at 10 for D = 10.05. Past it, the next extension that still
+    # fails spans its replay and raises
+    ladder = Ladder(FairnessSpec((3, 0)), epsilon=1.0, mode=mode)
+    for p in stream([(0.0, 2), (5.0, 2), (far, 2)]):
+        ladder.observe(p)
+    with pytest.raises(RuntimeError, match="unservable"):
+        ladder.finish()
+    assert ladder.guesses == guesses
+
+
+def test_the_span_rule_under_a_zero_group_1_cap_reaches_the_diameter():
+    # a semi rung serves group 1 here only through a group-2 stand-in within
+    # one guess, so the grid climbs to g >= D = 10, where the group-2 point
+    # at 10 stands in for the one reps1 member, 0
+    spec = FairnessSpec((0, 3))
+    points = stream([(0.0, 1), (5.0, 1), (10.0, 1), (10.0, 2)])
+    ladder, result = run_ladder(points, spec, mode="semi", epsilon=1.0)
+    assert ladder.guesses == [2.5, 5.0, 10.0]
+    assert result.best_guess == 10.0
+    assert clustering_cost(points, result.centers) == 10.0
 
 
 def test_a_coincident_stream_of_a_cap_zero_group_has_no_center():
@@ -712,7 +792,7 @@ def test_evals_performed_stay_within_the_logical_count(mode):
     for case in range(150):
         points, spec, epsilon = _random_stream(rng, mode)
         ladder, _ = run_ladder(points, spec, mode, epsilon)
-        assert ladder.total_evals_performed <= ladder.total_distance_evals, case
+        assert ladder.stats.evals_performed <= ladder.total_distance_evals, case
 
 
 @pytest.mark.parametrize("mode", ["general", "semi"])
@@ -731,7 +811,7 @@ def test_evals_performed_count_each_evaluation_made_while_streaming(mode):
         ladder = Ladder(spec, metric, epsilon=epsilon, mode=mode)
         for p in points:
             ladder.observe(p)
-        assert ladder.total_evals_performed == len(calls), case
+        assert ladder.stats.evals_performed == len(calls), case
 
 
 @pytest.mark.parametrize("mode", ["general", "semi"])
@@ -741,7 +821,7 @@ def test_covered_scans_stop_early_on_a_planted_run(mode):
     if mode == "semi":
         points.sort(key=lambda p: p.group)
     ladder, _ = run_ladder(points, spec, mode)
-    assert ladder.total_evals_performed < 0.9 * ladder.total_distance_evals
+    assert ladder.stats.evals_performed < 0.9 * ladder.total_distance_evals
 
 
 def _check_refusal_against_the_reference(mode, setup, bad, message):
